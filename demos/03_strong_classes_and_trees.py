@@ -8,8 +8,9 @@ grow these classes; their traces pair drawings with pattern-avoiding
 inversion sequences, and a quadratic-size dynamic program counts levels.
 """
 
-from rectlab import (count_by_tree, count_class, replay_invseq, sigma,
-                     t1_children_rect, t1_type_rect, tau7, trace_of_rect)
+from rectlab import (count_by_tree, count_class, level_counts, replay_invseq,
+                     sigma, t1_children_rect, t1_type_rect, tau7,
+                     trace_of_rect)
 from rectlab.gentree import trace_to_json
 from rectlab.invseq import CLASS_PATTERNS, count_invseq
 from rectlab.render import render_ascii
@@ -40,8 +41,8 @@ print("sigma:", sigma(du), "trace:", trace_to_json(trace_of_rect(du, "t2")))
 
 # Level counts of both trees agree with each other and with four sequence
 # classes; the dynamic program reaches n in the hundreds.
-print("tree levels:", [count_by_tree("t1", n) for n in range(1, 11)])
-print("same via t2:", [count_by_tree("t2", n) for n in range(1, 11)])
+print("tree levels:", level_counts("t1", 10))
+print("same via t2:", level_counts("t2", 10))
 print("I(010,101,120,201) at n=7:", count_invseq(7, CLASS_PATTERNS["i7"]))
 print("I(011,201)         at n=7:", count_invseq(7, ("011", "201")))
 print("level 50 has", count_by_tree("t1", 50), "nodes")

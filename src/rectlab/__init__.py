@@ -9,11 +9,11 @@ from .patterns import (PATTERNS, avoids_all, contains, is_guillotine,
                        occurrences)
 from .universe import (count_class, count_strip_class, enumerate_class,
                        enumerate_strong, enumerate_weak)
-from .gentree import (ClassError, count_by_tree, replay_invseq, replay_rect,
-                      t1_children_invseq, t1_children_rect, t1_type_invseq,
-                      t1_type_rect, t2_children_invseq, t2_children_rect,
-                      t2_type_invseq, t2_type_rect, trace_of_invseq,
-                      trace_of_rect)
+from .gentree import (ClassError, count_by_tree, level_counts, replay_invseq,
+                      replay_rect, t1_children_invseq, t1_children_rect,
+                      t1_type_invseq, t1_type_rect, t2_children_invseq,
+                      t2_children_rect, t2_type_invseq, t2_type_rect,
+                      trace_of_invseq, trace_of_rect)
 from .bijections import (all_trees, beta, composition_of, delta, delta_direct,
                          delta_inv, epsilon, epsilon_inv, k_class,
                          lambda_labels, nw_word, rect_of_composition,

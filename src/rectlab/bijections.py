@@ -124,8 +124,9 @@ def tree_to_seq(t):
     if t is None:
         return ()
     left, right = t
-    shift = 1 + tree_size(left)
-    return (0,) + tree_to_seq(left) + tuple(v + shift for v in tree_to_seq(right))
+    left_seq = tree_to_seq(left)
+    shift = 1 + len(left_seq)
+    return (0,) + left_seq + tuple(v + shift for v in tree_to_seq(right))
 
 
 def seq_to_tree(e):

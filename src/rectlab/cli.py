@@ -41,8 +41,12 @@ def parse_class_spec(spec):
 def parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+        out = range(int(lo), int(hi) + 1)
+    else:
+        out = range(int(text), int(text) + 1)
+    if not out:
+        raise UsageError(f"empty range {text!r}")
+    return out
 
 
 def _rushed_count(n):
@@ -279,7 +283,7 @@ def build_parser():
     p.set_defaults(fn=cmd_map)
 
     p = sub.add_parser("trace", help="generating-tree trace of a drawing")
-    p.add_argument("--tree", choices=("t1", "t2"), required=True)
+    p.add_argument("--tree", choices=gentree.TREES, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--replay", action="store_true",
                    help="input is a trace; rebuild the object")

@@ -100,15 +100,24 @@ def _structure_violations(width, height, boxes):
     out = []
     if width < 1 or height < 1:
         return ["bounding box must have positive width and height"]
-    if len(boxes) != width + height - 1:
-        out.append(
-            f"{len(boxes)} rects cannot fill a {width}x{height} box "
-            f"one segment per line (need {width + height - 1})")
+    n = len(boxes)
+    if n != width + height - 1:
+        out.append(f"{n} rects cannot fill a {width}x{height} box "
+                   f"one segment per line (need {width + height - 1})")
     for b in boxes:
         x0, y0, x1, y1 = b
         if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
             out.append(f"rect {b} outside box or degenerate")
             return out
+    if 4 * width * height > (n + 1) ** 2:
+        # Reached only with a wrong rect count, as W + H = n + 1 bounds W * H
+        # by (n + 1)^2 / 4.  The cover is checked by area here: a cover grid
+        # would be as large as the claimed box, however few rects there are.
+        area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
+        if area != width * height:
+            out.append("union != bounding box or rects overlap "
+                       f"({area} cells covered of {width * height})")
+        return out
     # exact cover of unit cells
     cover = [[0] * width for _ in range(height)]
     for (x0, y0, x1, y1) in boxes:
@@ -206,11 +215,26 @@ def make_drawing_with_perm(width, height, boxes, *, check=True):
     return RectDrawing(width, height, tuple(ordered)), pos
 
 
+def _json_int(v, what):
+    if type(v) is not int:  # bool is a subclass of int
+        raise InvalidDrawing(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def from_json(text: str) -> RectDrawing:
-    """Decode the JSON wire format; rejects invalid drawings."""
+    """Decode the JSON wire format; rejects non-integer fields and invalid
+    drawings."""
     obj = json.loads(text)
-    boxes = [tuple(int(v) for v in r) for r in obj["rects"]]
-    d = RectDrawing(int(obj["width"]), int(obj["height"]), tuple(boxes))
+    if not isinstance(obj, dict) or not isinstance(obj.get("rects"), list):
+        raise InvalidDrawing('expected an object with "width", "height" '
+                             'and a "rects" list')
+    boxes = []
+    for r in obj["rects"]:
+        if not isinstance(r, list) or len(r) != 4:
+            raise InvalidDrawing(f"rect {r!r} must be a list of 4 integers")
+        boxes.append(tuple(_json_int(v, "rect coordinate") for v in r))
+    d = RectDrawing(_json_int(obj.get("width"), "width"),
+                    _json_int(obj.get("height"), "height"), tuple(boxes))
     bad = validate(d)
     if bad:
         raise InvalidDrawing("; ".join(bad))
@@ -225,13 +249,6 @@ def segments_of(d: RectDrawing) -> list[Segment]:
     segs += [Segment("h", y, lo, hi)
              for y in range(1, d.height) for lo, hi in hruns[y]]
     return segs
-
-
-def segment_at(d: RectDrawing, orientation: str, axis: int) -> Segment:
-    for s in segments_of(d):
-        if s.orientation == orientation and s.axis == axis:
-            return s
-    raise KeyError((orientation, axis))
 
 
 def joints_of(d: RectDrawing) -> list[tuple[tuple[int, int], str]]:

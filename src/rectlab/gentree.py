@@ -17,6 +17,8 @@ right-to-left index of the reworked joint for t2; "***" carries None.
 
 from __future__ import annotations
 
+import threading
+
 from . import invseq
 from .drawing import (InvalidDrawing, RectDrawing, canonical_drawing,
                       make_drawing_with_perm, ne_rect_index, segments_of,
@@ -453,56 +455,88 @@ def replay_invseq(trace, tree, cls="i7"):
 # counting
 
 
-def count_by_tree(tree, n):
-    """Number of level-n nodes, by dynamic programming over types."""
+TREES = ("t1", "t2")
+
+# Per tree, the level DP so far: [counts of levels 1..m, level m's type
+# dict].  Levels are a pure function of the tree, so the record is shared by
+# every caller and only ever extended, under the lock so that two threads
+# never append the same level twice.
+_LEVELS = {}
+_LEVELS_LOCK = threading.Lock()
+
+
+def _next_level(tree, level):
+    """Type counts of level m+1 from those of level m."""
+    rowsum = {}
+    for (k, ell), c in level.items():
+        rowsum[k] = rowsum.get(k, 0) + c
+    nxt = {}
+
+    def add(key, c):
+        if c:
+            nxt[key] = nxt.get(key, 0) + c
+
+    if tree == "t1":
+        by_k = {}
+        for (k, ell), c in level.items():
+            by_k.setdefault(k, {})[ell] = c
+        for k, row in by_k.items():
+            for a in range(1, k + 1):
+                add((a, k - a), rowsum[k])
+            top = max(row)
+            suf = 0
+            for i in range(top, -1, -1):
+                suf += row.get(i, 0)
+                add((k + 1, i), suf)
+    else:
+        by_s = {}
+        by_k = {}
+        for (k, ell), c in level.items():
+            by_s.setdefault(k + ell, {})[k] = \
+                by_s.setdefault(k + ell, {}).get(k, 0) + c
+            by_k.setdefault(k, {})[ell] = c
+        for s, col in by_s.items():
+            suf = 0
+            for a in range(max(col), 0, -1):
+                suf += col.get(a, 0)
+                add((a, s - a), suf)
+        for k, row in by_k.items():
+            top = max(row)
+            suf = 0
+            for b in range(top - 1, -1, -1):
+                suf += row.get(b + 1, 0)
+                add((k + 1, b), suf)
+            add((k + 1, 0), rowsum[k])
+    return nxt
+
+
+def _levels(tree, n):
+    """The shared list of level counts of the tree, extended to reach n."""
+    if tree not in TREES:
+        raise ValueError(f"unknown tree {tree!r}")
     if n < 1:
         raise ValueError("level must be >= 1")
-    level = {(1, 0): 1}
-    for _ in range(n - 1):
-        rowsum = {}
-        for (k, ell), c in level.items():
-            rowsum[k] = rowsum.get(k, 0) + c
-        nxt = {}
+    with _LEVELS_LOCK:
+        rec = _LEVELS.setdefault(tree, [[1], {(1, 0): 1}])
+        counts = rec[0]
+        while len(counts) < n:
+            rec[1] = _next_level(tree, rec[1])
+            counts.append(sum(rec[1].values()))
+    return counts
 
-        def add(key, c):
-            if c:
-                nxt[key] = nxt.get(key, 0) + c
 
-        if tree == "t1":
-            by_k = {}
-            for (k, ell), c in level.items():
-                by_k.setdefault(k, {})[ell] = c
-            for k, row in by_k.items():
-                for a in range(1, k + 1):
-                    add((a, k - a), rowsum[k])
-                top = max(row)
-                suf = 0
-                for i in range(top, -1, -1):
-                    suf += row.get(i, 0)
-                    add((k + 1, i), suf)
-        elif tree == "t2":
-            by_s = {}
-            by_k = {}
-            for (k, ell), c in level.items():
-                by_s.setdefault(k + ell, {})[k] = \
-                    by_s.setdefault(k + ell, {}).get(k, 0) + c
-                by_k.setdefault(k, {})[ell] = c
-            for s, col in by_s.items():
-                suf = 0
-                for a in range(max(col), 0, -1):
-                    suf += col.get(a, 0)
-                    add((a, s - a), suf)
-            for k, row in by_k.items():
-                top = max(row)
-                suf = 0
-                for b in range(top - 1, -1, -1):
-                    suf += row.get(b + 1, 0)
-                    add((k + 1, b), suf)
-                add((k + 1, 0), rowsum[k])
-        else:
-            raise ValueError(f"unknown tree {tree!r}")
-        level = nxt
-    return sum(level.values())
+def level_counts(tree, n):
+    """Numbers of nodes on levels 1..n of the tree, as a new list."""
+    return _levels(tree, n)[:n]
+
+
+def count_by_tree(tree, n):
+    """Number of level-n nodes, by dynamic programming over types.
+
+    One level DP per tree is kept for the whole process and extended only
+    past the deepest level asked for so far, so calls for every n up to N
+    together cost one DP to level N; `level_counts` reads the same DP."""
+    return _levels(tree, n)[n - 1]
 
 
 def trace_to_json(trace):

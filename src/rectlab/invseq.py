@@ -10,6 +10,7 @@ always a maximum and also counts as a high element (0 = 1 - 1).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -31,47 +32,71 @@ def check_invseq(e):
     return e
 
 
-def _as_word(p):
-    w = tuple(int(c) for c in p) if isinstance(p, str) else tuple(p)
-    if w and set(w) != set(range(max(w) + 1)):
+@lru_cache(maxsize=256)
+def _compile(p, initial_range):
+    """(length, comparison table) of the pattern word p.  The table lists
+    (a, b, sign of w[a] - w[b]) for every pair of positions a < b, so a
+    candidate occurrence is tested without re-deriving the word's order."""
+    w = tuple(int(c) for c in p) if isinstance(p, str) else p
+    if initial_range and w and set(w) != set(range(max(w) + 1)):
         raise ValueError(f"pattern {p!r} must use an initial value range")
-    return w
+    return len(w), tuple((a, b, (w[a] > w[b]) - (w[a] < w[b]))
+                         for a in range(len(w)) for b in range(a + 1, len(w)))
 
 
-def _has_relorder_match(e, w) -> bool:
-    if len(w) > len(e):
-        return False
-    for idx in combinations(range(len(e)), len(w)):
-        ok = True
-        for a in range(len(w)):
-            for b in range(a + 1, len(w)):
-                da = (e[idx[a]] > e[idx[b]]) - (e[idx[a]] < e[idx[b]])
-                dw = (w[a] > w[b]) - (w[a] < w[b])
-                if da != dw:
-                    ok = False
-                    break
-            if not ok:
+def _pattern(p, initial_range=True):
+    return _compile(p if isinstance(p, str) else tuple(p), initial_range)
+
+
+def _any_match(table, occurrences) -> bool:
+    """Is some value tuple in occurrences ordered as the table says?"""
+    for vals in occurrences:
+        for a, b, sign in table:
+            x, y = vals[a], vals[b]
+            if (x > y) - (x < y) != sign:
                 break
-        if ok:
+        else:
             return True
     return False
+
+
+def _has_relorder_match(e, pat) -> bool:
+    k, table = pat
+    return k <= len(e) and _any_match(table, combinations(e, k))
+
+
+def _ends_in_match(e, pat) -> bool:
+    """Does e have an occurrence of the pattern that uses its last entry?
+    When e[:-1] avoids the pattern, this is the same as containment."""
+    k, table = pat
+    if k == 0:
+        return True
+    last = e[-1]
+    return k <= len(e) and _any_match(
+        table, (c + (last,) for c in combinations(e[:-1], k - 1)))
 
 
 def contains_pattern(e, p) -> bool:
     """Does e have a subsequence in the same relative order (with equalities)
     as p?"""
-    return _has_relorder_match(tuple(e), _as_word(p))
+    return _has_relorder_match(tuple(e), _pattern(p))
 
 
 def perm_contains(pi, pattern) -> bool:
     """Classical pattern containment for permutations (distinct values)."""
-    w = tuple(int(c) for c in pattern) if isinstance(pattern, str) \
-        else tuple(pattern)
-    return _has_relorder_match(tuple(pi), w)
+    return _has_relorder_match(tuple(pi), _pattern(pattern,
+                                                   initial_range=False))
 
 
 def avoids_all(e, pats) -> bool:
     return not any(contains_pattern(e, p) for p in pats)
+
+
+def _avoiding_values(prefix, pats):
+    """Values v such that prefix + (v,) is an inversion sequence avoiding
+    the compiled patterns, given that the prefix avoids them."""
+    return [v for v in range(len(prefix) + 1)
+            if not any(_ends_in_match(prefix + (v,), pat) for pat in pats)]
 
 
 def enumerate_invseq(n, avoid=(), cap=10):
@@ -79,16 +104,14 @@ def enumerate_invseq(n, avoid=(), cap=10):
     lexicographic order."""
     if avoid and n > cap:
         raise ValueError(f"length {n} exceeds the cap {cap}")
-    pats = tuple(_as_word(p) for p in avoid)
+    pats = tuple(_pattern(p) for p in avoid)
 
     def rec(prefix):
         if len(prefix) == n:
             yield prefix
             return
-        for v in range(len(prefix) + 1):
-            nxt = prefix + (v,)
-            if all(not contains_pattern(nxt, p) for p in pats):
-                yield from rec(nxt)
+        for v in _avoiding_values(prefix, pats):
+            yield from rec(prefix + (v,))
 
     yield from rec(())
 
@@ -242,13 +265,10 @@ def extension_values(e, avoid):
     """Values u such that e + (u,) is a valid inversion sequence avoiding the
     given patterns."""
     e = check_invseq(e)
-    pats = tuple(_as_word(p) for p in avoid)
-    out = []
-    for u in range(len(e) + 1):
-        nxt = e + (u,)
-        if all(not contains_pattern(nxt, p) for p in pats):
-            out.append(u)
-    return out
+    pats = tuple(_pattern(p) for p in avoid)
+    if any(_has_relorder_match(e, pat) for pat in pats):
+        return []
+    return _avoiding_values(e, pats)
 
 
 def all_ltr_maxima_high(e) -> bool:

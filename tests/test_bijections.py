@@ -118,6 +118,19 @@ def test_tree_formula_matches_geometry():
             assert bij.seq_to_tree(bij.tree_to_seq(t)) == t
 
 
+def test_tree_to_seq_matches_size_based_definition():
+    def by_size(t):
+        if t is None:
+            return ()
+        left, right = t
+        shift = 1 + bij.tree_size(left)
+        return (0,) + by_size(left) + tuple(v + shift for v in by_size(right))
+
+    for n in range(10):
+        for t in bij.all_trees(n):
+            assert bij.tree_to_seq(t) == by_size(t)
+
+
 def test_tree_image_counts():
     for n in range(1, 9):
         assert len({bij.tree_to_seq(t) for t in bij.all_trees(n)}) == \

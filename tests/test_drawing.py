@@ -90,6 +90,29 @@ def test_json_round_trip(d3):
         from_json('{"width":2,"height":1,"rects":[[0,0,1,1]]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"width": 1.9, "height": true, "rects": [[0, 0, 1.5, true]]}',
+    '{"width": 1.0, "height": 1, "rects": [[0, 0, 1, 1]]}',
+    '{"width": 1, "height": false, "rects": [[0, 0, 1, 1]]}',
+    '{"width": 1, "height": 1, "rects": [[0, 0, "1", 1]]}',
+    '{"width": 1, "height": 1, "rects": [[0, 0, 1, 1, 1]]}',
+    '{"width": 1, "height": 1, "rects": [0]}',
+    '{"width": 1, "height": 1}',
+    '[1, 1, [[0, 0, 1, 1]]]',
+])
+def test_from_json_accepts_integer_fields_only(text):
+    with pytest.raises(InvalidDrawing):
+        from_json(text)
+
+
+def test_validate_checks_rect_count_before_the_cover_grid():
+    # a cover grid here would hold 10**10 cells
+    huge = RectDrawing(10 ** 5, 10 ** 5, ((0, 0, 10 ** 5, 10 ** 5),))
+    assert validate(huge) == [
+        "1 rects cannot fill a 100000x100000 box one segment per line "
+        "(need 199999)"]
+
+
 def test_canonical_drawing_idempotent_and_key_preserving():
     for n in range(1, 7):
         for d in universe.enumerate_strong(n):

@@ -1,8 +1,9 @@
 import pytest
 
-from rectlab import invseq, universe
+from rectlab import gentree, invseq, universe
 from rectlab.drawing import strong_key
-from rectlab.gentree import (ClassError, count_by_tree, replay_invseq,
+from rectlab.gentree import (ClassError, count_by_tree, level_counts,
+                             replay_invseq,
                              replay_rect, replay_rect_tracked,
                              t1_children_invseq, t1_children_rect,
                              t1_type_invseq, t1_type_rect,
@@ -155,6 +156,83 @@ def test_count_by_tree():
     assert count_by_tree("t1", 1) == 1
     for n in range(1, 51):
         assert count_by_tree("t1", n) == count_by_tree("t2", n)
+
+
+def _reference_count(tree, n):
+    """The level DP run from level 1, without the shared record."""
+    level = {(1, 0): 1}
+    for _ in range(n - 1):
+        rowsum = {}
+        for (k, ell), c in level.items():
+            rowsum[k] = rowsum.get(k, 0) + c
+        nxt = {}
+
+        def add(key, c):
+            if c:
+                nxt[key] = nxt.get(key, 0) + c
+
+        if tree == "t1":
+            by_k = {}
+            for (k, ell), c in level.items():
+                by_k.setdefault(k, {})[ell] = c
+            for k, row in by_k.items():
+                for a in range(1, k + 1):
+                    add((a, k - a), rowsum[k])
+                suf = 0
+                for i in range(max(row), -1, -1):
+                    suf += row.get(i, 0)
+                    add((k + 1, i), suf)
+        else:
+            by_s, by_k = {}, {}
+            for (k, ell), c in level.items():
+                col = by_s.setdefault(k + ell, {})
+                col[k] = col.get(k, 0) + c
+                by_k.setdefault(k, {})[ell] = c
+            for s, col in by_s.items():
+                suf = 0
+                for a in range(max(col), 0, -1):
+                    suf += col.get(a, 0)
+                    add((a, s - a), suf)
+            for k, row in by_k.items():
+                suf = 0
+                for b in range(max(row) - 1, -1, -1):
+                    suf += row.get(b + 1, 0)
+                    add((k + 1, b), suf)
+                add((k + 1, 0), rowsum[k])
+        level = nxt
+    return sum(level.values())
+
+
+def test_shared_level_dp_matches_reference_in_any_call_order():
+    ref = {t: [_reference_count(t, n) for n in range(1, 41)]
+           for t in ("t1", "t2")}
+    gentree._LEVELS.clear()
+    for n in range(40, 0, -1):
+        assert count_by_tree("t1", n) == ref["t1"][n - 1]
+    gentree._LEVELS.clear()
+    for n in range(1, 41):
+        for t in ("t2", "t1"):
+            assert count_by_tree(t, n) == ref[t][n - 1]
+    gentree._LEVELS.clear()
+    assert level_counts("t2", 17) == ref["t2"][:17]
+    assert level_counts("t2", 40) == ref["t2"]
+    assert level_counts("t1", 40) == ref["t1"]
+    assert level_counts("t1", 3) == ref["t1"][:3]
+    level_counts("t1", 5).append(0)  # callers get a copy
+    assert level_counts("t1", 40) == ref["t1"]
+
+
+def test_count_by_tree_rejects_bad_input_before_any_work():
+    gentree._LEVELS.clear()
+    for n in (1, 2, 5):
+        with pytest.raises(ValueError):
+            count_by_tree("bogus", n)
+        with pytest.raises(ValueError):
+            level_counts("bogus", n)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            count_by_tree("t1", n)
+    assert gentree._LEVELS == {}
 
 
 def test_tree_counts_match_universe():

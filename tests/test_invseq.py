@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -169,3 +171,32 @@ def test_containment_matches_naive_scan(e, p):
             naive = True
             break
     assert invseq.contains_pattern(e, p) == naive
+
+
+def _words(max_len=3):
+    """Every pattern word of length 1..max_len over an initial value range."""
+    for k in range(1, max_len + 1):
+        for w in product(range(k), repeat=k):
+            if set(w) == set(range(max(w) + 1)):
+                yield "".join(map(str, w))
+
+
+def test_enumeration_prunes_like_full_containment():
+    sets = [(w,) for w in _words()]
+    sets += [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")]
+    sets.append(("011", "201"))
+    for n in range(1, 8):
+        every = list(invseq.enumerate_invseq(n))
+        for pats in sets:
+            assert list(invseq.enumerate_invseq(n, pats)) == \
+                [e for e in every if invseq.avoids_all(e, pats)], (n, pats)
+
+
+def test_extension_values_of_a_containing_prefix_is_empty():
+    assert invseq.extension_values((0, 1, 0), ("010",)) == []
+    assert invseq.extension_values((0, 1, 1), ("011", "201")) == []
+    for e in invseq.enumerate_invseq(5):
+        for pats in (("011", "201"), invseq.CLASS_PATTERNS["i7"]):
+            want = [u for u in range(len(e) + 1)
+                    if invseq.avoids_all(e + (u,), pats)]
+            assert invseq.extension_values(e, pats) == want, (e, pats)

@@ -100,10 +100,16 @@ def test_cli_render(capsys, tmp_path, d3):
     f.write_text(d3.to_json())
     assert cli.main(["render", "--input", str(f), "--format", "svg"]) == 0
     assert "<svg" in capsys.readouterr().out
+    f.write_text('{"width": 1.9, "height": true, "rects": [[0, 0, 1.5, true]]}')
+    assert cli.main(["render", "--input", str(f)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(capsys):
     assert cli.main(["count", "--class", "bogus:avoid=td", "--n", "3"]) == 2
+    assert cli.main(["count", "--class", "strong:avoid=td", "--n", "5..3"]) \
+        == 2
+    assert capsys.readouterr().out == ""
     assert cli.main(["count", "--class", "weak:avoid=xx", "--n", "3"]) == 2
     assert cli.main(["count", "--class", "strong:avoid=wm+", "--n", "9",
                      "--method", "universe"]) == 2  # over the cap
