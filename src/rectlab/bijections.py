@@ -129,6 +129,23 @@ def tree_to_seq(t):
     return (0,) + left_seq + tuple(v + shift for v in tree_to_seq(right))
 
 
+def tree_images(n):
+    """[tree_to_seq(t) for t in all_trees(n)], built from the images of the
+    smaller sizes: for each split, the right-hand images are shifted once,
+    and each image is one concatenation of a root-and-left head with a
+    shifted tail."""
+    levels = [[()]]
+    for m in range(1, n + 1):
+        level = []
+        for i in range(m):  # i nodes on the left
+            tails = [tuple(v + 1 + i for v in s) for s in levels[m - 1 - i]]
+            for s in levels[i]:
+                head = (0,) + s
+                level += [head + tail for tail in tails]
+        levels.append(level)
+    return levels[n]
+
+
 def seq_to_tree(e):
     """Inverse of tree_to_seq on non-decreasing inversion sequences."""
     e = tuple(e)
@@ -147,19 +164,17 @@ def rect_of_tree(t) -> RectDrawing:
     """Grow the drawing of a binary tree: the root rectangle sits at the SW
     corner, the left subtree stacks above it behind the same right edge, the
     right subtree fills a full-height block on the right."""
-    n = tree_size(t)
-    if n == 0:
+    if t is None:
         raise ValueError("empty tree has no drawing")
-    if n == 1:
-        return size1()
     left, right = t
-    a, b = tree_size(left), tree_size(right)
-    if b == 0:
+    if left is None and right is None:
+        return size1()
+    if right is None:
         sub = rect_of_tree(left)
         boxes = [(0, 0, sub.width, 1)]
         boxes += [(x0, y0 + 1, x1, y1 + 1) for (x0, y0, x1, y1) in sub.rects]
         return make_drawing(sub.width, sub.height + 1, boxes)
-    if a == 0:
+    if left is None:
         sub = rect_of_tree(right)
         boxes = [(0, 0, 1, sub.height)]
         boxes += [(x0 + 1, y0, x1 + 1, y1) for (x0, y0, x1, y1) in sub.rects]

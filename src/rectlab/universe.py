@@ -23,45 +23,39 @@ DEFAULT_MAX_N = 7
 
 def _tilings(width, height, max_rects, reverse=False):
     """Yield all partitions of the width x height grid into rectangles."""
-    grid = [[False] * width for _ in range(height)]
+    covered = [False] * (width * height)  # cells row by row, bottom row first
     boxes = []
 
-    def first_free():
-        for y in range(height):
-            for x in range(width):
-                if not grid[y][x]:
-                    return x, y
-        return None
-
-    def place(x0, y0, x1, y1, val):
-        for y in range(y0, y1):
-            for x in range(x0, x1):
-                grid[y][x] = val
-
-    def rec():
-        spot = first_free()
-        if spot is None:
+    def rec(start):
+        # Each rect goes on the first free cell, so every cell before start
+        # is covered and the scan resumes there.
+        try:
+            k = covered.index(False, start)
+        except ValueError:
             yield list(boxes)
             return
         if len(boxes) == max_rects:
             return
-        x, y = spot
-        wmax = x
-        while wmax < width and not grid[y][wmax]:
-            wmax += 1
+        y, x = divmod(k, width)
+        row = k - x
+        try:
+            wmax = covered.index(True, k, row + width) - row
+        except ValueError:
+            wmax = width
         widths = range(x + 1, wmax + 1)
         for x1 in (reversed(widths) if reverse else widths):
-            y1 = y + 1
-            while y1 <= height and all(not grid[y1 - 1][xx] for xx in range(x, x1)):
-                place(x, y1 - 1, x1, y1, True)
-                boxes.append((x, y, x1, y1))
-                yield from rec()
+            top = y  # rows y..top-1 of columns x..x1-1 are placed
+            while top < height and \
+                    not any(covered[top * width + x:top * width + x1]):
+                covered[top * width + x:top * width + x1] = [True] * (x1 - x)
+                top += 1
+                boxes.append((x, y, x1, top))
+                yield from rec(k + x1 - x)
                 boxes.pop()
-                y1 += 1
-            for yy in range(y, y1 - 1):
-                place(x, yy, x1, yy + 1, False)
+            for yy in range(y, top):
+                covered[yy * width + x:yy * width + x1] = [False] * (x1 - x)
 
-    yield from rec()
+    yield from rec(0)
 
 
 def _check_cap(n, max_n):

@@ -6,8 +6,10 @@ pass/fail line per claim.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from . import bijections as bij
 from . import gentree, invseq, paths, universe
@@ -68,11 +70,18 @@ def suite_catalan(ctx, max_n=6):
         r.check(f"n={n}: grown drawings read back as the structural images",
                 ok)
     for n in range(1, 13):
-        images = {bij.tree_to_seq(t) for t in bij.all_trees(n)}
         if not r.check(f"n={n}: tree images distinct and Catalan-many",
-                       len(images) == paths.catalan(n)):
+                       _count_if_distinct(bij.tree_images(n))
+                       == paths.catalan(n)):
             break
     return r
+
+
+def _count_if_distinct(items):
+    """len(items) if no two are equal, else None.  Sorts items in place,
+    which unlike a set needs no table beside them."""
+    items.sort()
+    return len(items) if all(a < b for a, b in pairwise(items)) else None
 
 
 def suite_a279555(ctx, max_n=7, dp_n=100):
@@ -362,24 +371,17 @@ SUITES = {
     "guillotine": suite_guillotine,
 }
 
-_SUITE_CAP_ARG = {
-    "catalan": "max_n", "a279555": "max_n", "conjecture-stats": "max_n",
-    "bijections": "max_n", "direct-vs-trace": "max_n",
-    "beta-correspondence": "max_n", "stats-props": "max_n", "a287709": "max_n",
-    "elementary": "max_n", "guillotine": "max_n",
-}
-
 
 def run_suites(names=None, max_n=None, cache_dir=None):
-    """Run the named suites (all by default); max_n lowers the per-suite
-    exhaustive caps for quick runs."""
+    """Run the named suites (all by default); max_n lowers the exhaustive
+    cap of every suite that has a max_n parameter, for quick runs."""
     ctx = _Ctx(cache_dir=cache_dir)
     results = []
     for name in names or SUITES:
         fn = SUITES[name]
         kwargs = {}
-        if max_n is not None and name in _SUITE_CAP_ARG:
-            default = fn.__defaults__[0]
-            kwargs[_SUITE_CAP_ARG[name]] = min(max_n, default)
+        cap = inspect.signature(fn).parameters.get("max_n")
+        if max_n is not None and cap is not None:
+            kwargs["max_n"] = min(max_n, cap.default)
         results.append(fn(ctx, **kwargs))
     return results

@@ -131,6 +131,17 @@ def test_tree_to_seq_matches_size_based_definition():
             assert bij.tree_to_seq(t) == by_size(t)
 
 
+def test_tree_images_match_tree_to_seq():
+    for n in range(11):
+        assert bij.tree_images(n) == [bij.tree_to_seq(t)
+                                      for t in bij.all_trees(n)]
+
+
+def test_rect_of_tree_rejects_the_empty_tree():
+    with pytest.raises(ValueError):
+        bij.rect_of_tree(None)
+
+
 def test_tree_image_counts():
     for n in range(1, 9):
         assert len({bij.tree_to_seq(t) for t in bij.all_trees(n)}) == \

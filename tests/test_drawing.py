@@ -1,14 +1,16 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from rectlab import universe
-from rectlab.drawing import (InvalidDrawing, RectDrawing, boundary_touch_counts,
-                             canonical_drawing, from_json, is_diagonal,
-                             joints_of, l_labels, make_drawing, order_labels,
-                             relations_of, reflect, segments_of, strong_key,
-                             validate, weak_key)
+from rectlab.drawing import (InvalidDrawing, RectDrawing, Segment,
+                             boundary_touch_counts, canonical_drawing,
+                             contacts_of, from_json, heap_order, is_diagonal,
+                             joints_of, l_labels, linear_extension,
+                             make_drawing, order_labels, relations_of, reflect,
+                             segments_of, strong_key, validate, weak_key)
 
 
 def test_validate_accepts_minimal_cut(v2):
@@ -185,3 +187,455 @@ def test_size_one_defined_everywhere(one):
     assert canonical_drawing(one) == one
     assert is_diagonal(one)
     assert weak_key(one) and strong_key(one)
+
+
+# ---------------------------------------------------------------------------
+# The drawing kernel against the code it replaced.  The reference below is
+# the former implementation: line runs, neighbour lists and relations
+# recomputed per call, a W x H cover grid, and a first-free scan of the
+# tiling DFS that starts from (0, 0) every time.
+
+
+def _ref_merge_runs(intervals):
+    runs = []
+    for lo, hi in sorted(intervals):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return [(lo, hi) for lo, hi in runs]
+
+
+def _ref_line_runs(boxes, width, height):
+    vlines = {x: [] for x in range(1, width)}
+    hlines = {y: [] for y in range(1, height)}
+    for (x0, y0, x1, y1) in boxes:
+        if 0 < x0 < width:
+            vlines[x0].append((y0, y1))
+        if 0 < x1 < width:
+            vlines[x1].append((y0, y1))
+        if 0 < y0 < height:
+            hlines[y0].append((x0, x1))
+        if 0 < y1 < height:
+            hlines[y1].append((x0, x1))
+    return ({x: _ref_merge_runs(iv) for x, iv in vlines.items()},
+            {y: _ref_merge_runs(iv) for y, iv in hlines.items()})
+
+
+def _ref_structure_violations(width, height, boxes):
+    out = []
+    if width < 1 or height < 1:
+        return ["bounding box must have positive width and height"]
+    n = len(boxes)
+    if n != width + height - 1:
+        out.append(f"{n} rects cannot fill a {width}x{height} box "
+                   f"one segment per line (need {width + height - 1})")
+    for b in boxes:
+        x0, y0, x1, y1 = b
+        if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+            out.append(f"rect {b} outside box or degenerate")
+            return out
+    if 4 * width * height > (n + 1) ** 2:
+        area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
+        if area != width * height:
+            out.append("union != bounding box or rects overlap "
+                       f"({area} cells covered of {width * height})")
+        return out
+    cover = [[0] * width for _ in range(height)]
+    for (x0, y0, x1, y1) in boxes:
+        for y in range(y0, y1):
+            for x in range(x0, x1):
+                cover[y][x] += 1
+    for y in range(height):
+        for x in range(width):
+            if cover[y][x] != 1:
+                out.append("union != bounding box or rects overlap "
+                           f"(cell ({x},{y}) covered {cover[y][x]} times)")
+                return out
+    vruns, hruns = _ref_line_runs(boxes, width, height)
+    segs = []
+    for x in range(1, width):
+        if len(vruns[x]) != 1:
+            out.append(f"line x={x} hosts {len(vruns[x])} segments")
+        segs += [Segment("v", x, lo, hi) for lo, hi in vruns[x]]
+    for y in range(1, height):
+        if len(hruns[y]) != 1:
+            out.append(f"line y={y} hosts {len(hruns[y])} segments")
+        segs += [Segment("h", y, lo, hi) for lo, hi in hruns[y]]
+    for v in segs:
+        for h in segs:
+            if v.orientation == "v" and h.orientation == "h" and \
+                    h.lo < v.axis < h.hi and v.lo < h.axis < v.hi:
+                out.append(f"cross joint at ({v.axis},{h.axis})")
+    seen = set()
+    hseg = {s.axis: s for s in segs if s.orientation == "h"}
+    vseg = {s.axis: s for s in segs if s.orientation == "v"}
+    for s in segs:
+        for (px, py) in s.ends:
+            if (s.orientation == "v" and py in (0, height)) or \
+                    (s.orientation == "h" and px in (0, width)):
+                continue
+            if (px, py) in seen:
+                out.append(f"segment endpoints coincide at ({px},{py})")
+            seen.add((px, py))
+            if s.orientation == "v":
+                t = hseg.get(py)
+                if t is None or not (t.lo < px < t.hi):
+                    out.append(f"dangling segment endpoint at ({px},{py})")
+            else:
+                t = vseg.get(px)
+                if t is None or not (t.lo < py < t.hi):
+                    out.append(f"dangling segment endpoint at ({px},{py})")
+    return out
+
+
+def _ref_reach_closure(n, direct):
+    reach = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            m = reach[i]
+            for j in direct[i]:
+                m |= (1 << j) | reach[j]
+            if m != reach[i]:
+                reach[i] = m
+                changed = True
+    return reach
+
+
+def _ref_neighbor_lists(boxes, width, height):
+    vruns, hruns = _ref_line_runs(boxes, width, height)
+    vpairs, hpairs = [], []
+    for x in range(1, width):
+        for lo, hi in vruns[x]:
+            vpairs.append(([i for i, b in enumerate(boxes)
+                            if b[2] == x and lo <= b[1] and b[3] <= hi],
+                           [i for i, b in enumerate(boxes)
+                            if b[0] == x and lo <= b[1] and b[3] <= hi]))
+    for y in range(1, height):
+        for lo, hi in hruns[y]:
+            hpairs.append(([i for i, b in enumerate(boxes)
+                            if b[3] == y and lo <= b[0] and b[2] <= hi],
+                           [i for i, b in enumerate(boxes)
+                            if b[1] == y and lo <= b[0] and b[2] <= hi]))
+    return vpairs, hpairs
+
+
+def _ref_relations(width, height, boxes):
+    n = len(boxes)
+    right_of = [set() for _ in range(n)]
+    above_of = [set() for _ in range(n)]
+    vpairs, hpairs = _ref_neighbor_lists(boxes, width, height)
+    for lefts, rights in vpairs:
+        for i in lefts:
+            right_of[i].update(rights)
+    for bottoms, tops in hpairs:
+        for i in bottoms:
+            above_of[i].update(tops)
+    r_reach = _ref_reach_closure(n, right_of)
+    a_reach = _ref_reach_closure(n, above_of)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(".")
+                continue
+            cands = [c for c, hit in (("L", r_reach[i] >> j & 1),
+                                      ("R", r_reach[j] >> i & 1),
+                                      ("B", a_reach[i] >> j & 1),
+                                      ("A", a_reach[j] >> i & 1)) if hit]
+            if len(cands) != 1:
+                raise InvalidDrawing(
+                    f"relation trichotomy fails for rects {i},{j}: {cands}")
+            row.append(cands[0])
+        rows.append("".join(row))
+    return tuple(rows)
+
+
+_REF_ORDER_CHARS = {"nw-se": "LA", "sw-ne": "LB", "se-nw": "RB",
+                    "ne-sw": "RA"}
+
+
+def _ref_order_positions(rel, ordering):
+    n = len(rel)
+    pos = [sum(rel[j][i] in _REF_ORDER_CHARS[ordering] for j in range(n))
+           for i in range(n)]
+    return pos if sorted(pos) == list(range(n)) else None
+
+
+def _ref_check(d):
+    """(validate's list, relation matrix in d's order or None)."""
+    out = _ref_structure_violations(d.width, d.height, d.rects)
+    if out:
+        return out, None
+    try:
+        rel = _ref_relations(d.width, d.height, d.rects)
+    except InvalidDrawing as exc:
+        return [str(exc)], None
+    order = _ref_order_positions(rel, "nw-se")
+    if order is None:
+        return ["nw-se relation is not a total order"], None
+    if order != list(range(len(d.rects))):
+        return ["rects not listed in NW-SE order"], rel
+    return [], rel
+
+
+def _ref_make_drawing(width, height, boxes):
+    boxes = [tuple(b) for b in boxes]
+    bad = _ref_structure_violations(width, height, boxes)
+    if bad:
+        raise InvalidDrawing("; ".join(bad))
+    pos = _ref_order_positions(_ref_relations(width, height, boxes), "nw-se")
+    if pos is None:
+        raise InvalidDrawing("nw-se relation is not a total order")
+    ordered = [None] * len(boxes)
+    for i, p in enumerate(pos):
+        ordered[p] = boxes[i]
+    return RectDrawing(width, height, tuple(ordered))
+
+
+def _ref_order_labels(rel, ordering):
+    pos = _ref_order_positions(rel, ordering)
+    out = [0] * len(pos)
+    for i, p in enumerate(pos):
+        out[p] = i
+    return out
+
+
+def _ref_segments_of(d):
+    vruns, hruns = _ref_line_runs(d.rects, d.width, d.height)
+    return ([Segment("v", x, lo, hi)
+             for x in range(1, d.width) for lo, hi in vruns[x]]
+            + [Segment("h", y, lo, hi)
+               for y in range(1, d.height) for lo, hi in hruns[y]])
+
+
+def _ref_contacts_of(d):
+    out = []
+    for i, (x0, y0, x1, y1) in enumerate(d.rects):
+        for j, (a0, b0, a1, b1) in enumerate(d.rects):
+            if i == j:
+                continue
+            if x1 == a0 and min(y1, b1) > max(y0, b0):
+                out.append(("h", i, j))
+            if y1 == b0 and min(x1, a1) > max(x0, a0):
+                out.append(("v", i, j))
+    return tuple(sorted(out))
+
+
+def _ref_heap_order(d, orientation):
+    pieces = sorted((s for s in _ref_segments_of(d)
+                     if s.orientation == orientation), key=lambda s: s.axis)
+    n = len(pieces)
+    direct = [{j for j in range(n) if pieces[i].axis < pieces[j].axis and
+               pieces[i].lo <= pieces[j].hi and pieces[j].lo <= pieces[i].hi}
+              for i in range(n)]
+    reach = _ref_reach_closure(n, direct)
+    return pieces, {(i, j) for i in range(n) for j in range(n)
+                    if reach[i] >> j & 1}
+
+
+def _ref_canonical_drawing(d):
+    ymap = {0: 0, d.height: d.height}
+    hpieces, hprec = _ref_heap_order(d, "h")
+    for rank, idx in enumerate(linear_extension(hpieces, hprec)):
+        ymap[hpieces[idx].axis] = rank + 1
+    xmap = {0: 0, d.width: d.width}
+    vpieces, vprec = _ref_heap_order(d, "v")
+    for rank, idx in enumerate(linear_extension(vpieces, vprec)):
+        xmap[vpieces[idx].axis] = rank + 1
+    return _ref_make_drawing(d.width, d.height,
+                             [(xmap[x0], ymap[y0], xmap[x1], ymap[y1])
+                              for (x0, y0, x1, y1) in d.rects])
+
+
+def _ref_tilings(width, height, max_rects, reverse=False):
+    grid = [[False] * width for _ in range(height)]
+    boxes = []
+
+    def first_free():
+        for y in range(height):
+            for x in range(width):
+                if not grid[y][x]:
+                    return x, y
+        return None
+
+    def place(x0, y0, x1, y1, val):
+        for y in range(y0, y1):
+            for x in range(x0, x1):
+                grid[y][x] = val
+
+    def rec():
+        spot = first_free()
+        if spot is None:
+            yield list(boxes)
+            return
+        if len(boxes) == max_rects:
+            return
+        x, y = spot
+        wmax = x
+        while wmax < width and not grid[y][wmax]:
+            wmax += 1
+        widths = range(x + 1, wmax + 1)
+        for x1 in (reversed(widths) if reverse else widths):
+            y1 = y + 1
+            while y1 <= height and all(not grid[y1 - 1][xx]
+                                       for xx in range(x, x1)):
+                place(x, y1 - 1, x1, y1, True)
+                boxes.append((x, y, x1, y1))
+                yield from rec()
+                boxes.pop()
+                y1 += 1
+            for yy in range(y, y1 - 1):
+                place(x, yy, x1, yy + 1, False)
+
+    yield from rec()
+
+
+_UNION = "union != bounding box or rects overlap"
+
+
+def _same_violations(got, want):
+    """validate lists agree; the cover message keeps only its prefix, as
+    the cover check no longer names a cell."""
+    def norm(msgs):
+        return [_UNION if m.startswith(_UNION) else m for m in msgs]
+    return norm(got) == norm(want)
+
+
+def _boxes_agree(width, height, boxes):
+    """Kernel and reference agree on boxes: same validate list, same
+    accept/reject, and on an accepted drawing every derived fact.  Returns
+    whether the boxes were accepted."""
+    literal = RectDrawing(width, height, tuple(boxes))
+    violations, rel = _ref_check(literal)
+    assert _same_violations(validate(literal), violations), boxes
+    if rel is None:
+        with pytest.raises(InvalidDrawing):
+            make_drawing(width, height, boxes)
+        return False
+    # make_drawing reorders the boxes, and the matrix with them
+    pos = _ref_order_positions(rel, "nw-se")
+    inv = sorted(range(len(pos)), key=pos.__getitem__)
+    want = RectDrawing(width, height, tuple(tuple(boxes[i]) for i in inv))
+    rel = tuple("".join(rel[i][j] for j in inv) for i in inv)
+    got = make_drawing(width, height, boxes)
+    assert got == want
+    contacts = _ref_contacts_of(want)
+    labels = {o: _ref_order_labels(rel, o)
+              for o in ("nw-se", "sw-ne", "se-nw", "ne-sw")}
+    heaps = {o: _ref_heap_order(want, o) for o in ("h", "v")}
+    canon = _ref_canonical_drawing(want)
+    # a drawing make_drawing built, and an equal one it did not build
+    for d in (got, RectDrawing(width, height, want.rects)):
+        assert relations_of(d) == weak_key(d) == rel
+        assert {o: order_labels(d, o) for o in labels} == labels
+        assert segments_of(d) == _ref_segments_of(want)
+        assert contacts_of(d) == contacts
+        assert strong_key(d) == (rel, contacts)
+        assert {o: heap_order(d, o) for o in heaps} == heaps
+        assert canonical_drawing(d) == canon
+    # the canonical drawing carries the relations and segments it has
+    assert relations_of(canonical_drawing(got)) == rel
+    assert segments_of(canonical_drawing(got)) == _ref_segments_of(canon)
+    return True
+
+
+def test_kernel_matches_reference_on_every_small_tiling():
+    accepted = tried = 0
+    for width in range(1, 8):
+        for height in range(1, 9 - width):
+            cap = width + height - 1
+            tilings = list(_ref_tilings(width, height, cap))
+            # the DFS that resumes its first-free scan yields the same
+            assert list(universe._tilings(width, height, cap)) == tilings
+            assert list(universe._tilings(width, height, cap, True)) == \
+                list(_ref_tilings(width, height, cap, True))
+            for boxes in tilings:
+                tried += 1
+                accepted += _boxes_agree(width, height, boxes)
+    # one accepted tiling per drawing of n <= 7 rects in a W + H = n + 1 box
+    assert tried == 32593 and accepted == 5287
+
+
+def _perturbed(boxes, width, height, rng):
+    """One random edit of a box list: a moved coordinate, a dropped,
+    duplicated or swapped box, or a grown bounding box."""
+    boxes = [list(b) for b in boxes]
+    kind = rng.randrange(5)
+    if kind == 0:
+        b = rng.choice(boxes)
+        b[rng.randrange(4)] += rng.choice((-1, 1))
+    elif kind == 1 and len(boxes) > 1:
+        boxes.pop(rng.randrange(len(boxes)))
+    elif kind == 2:
+        boxes.append(list(rng.choice(boxes)))
+    elif kind == 3:
+        i, j = rng.randrange(len(boxes)), rng.randrange(len(boxes))
+        boxes[i], boxes[j] = boxes[j], boxes[i]
+    else:
+        width += rng.choice((0, 1))
+        height += rng.choice((0, 1))
+    return [tuple(b) for b in boxes], width, height
+
+
+def test_kernel_matches_reference_on_perturbed_boxes():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        members = universe.enumerate_strong(n)
+        for _ in range(300):
+            d = rng.choice(members)
+            boxes, width, height = list(d.rects), d.width, d.height
+            for _ in range(rng.randrange(1, 4)):
+                boxes, width, height = _perturbed(boxes, width, height, rng)
+            _boxes_agree(width, height, boxes)
+
+
+def test_foreign_drawings_are_checked_before_their_relations():
+    # a literal with a cross joint, and a valid one listed out of order
+    cross = RectDrawing(2, 2, ((0, 1, 1, 2), (1, 1, 2, 2),
+                               (0, 0, 1, 1), (1, 0, 2, 1)))
+    misordered = RectDrawing(2, 1, ((1, 0, 2, 1), (0, 0, 1, 1)))
+    for d in (cross, misordered):
+        with pytest.raises(InvalidDrawing):
+            relations_of(d)
+        with pytest.raises(InvalidDrawing):
+            segments_of(d)
+
+
+def test_make_drawing_raises_the_first_violation_only():
+    # a wrong count comes before the lines and the cover
+    with pytest.raises(InvalidDrawing) as exc:
+        make_drawing(3, 1, [(0, 0, 1, 1), (2, 0, 3, 1)])
+    assert str(exc.value) == \
+        "2 rects cannot fill a 3x1 box one segment per line (need 3)"
+    # two segments on line y=1 are found before the empty middle column,
+    # which validate reports first and alone
+    boxes = [(0, 0, 1, 1), (0, 1, 1, 2), (2, 0, 3, 1), (2, 1, 3, 2)]
+    with pytest.raises(InvalidDrawing) as exc:
+        make_drawing(3, 2, boxes)
+    assert str(exc.value) == "line y=1 hosts 2 segments"
+    assert validate(RectDrawing(3, 2, tuple(boxes))) == [
+        f"{_UNION} (4 cells covered of 6)"]
+
+
+def test_validate_checks_the_cover_without_a_grid():
+    # 4001 rects in a 2001 x 2001 box: a cover grid would hold 4M cells,
+    # 32 MB at one pointer a cell
+    side = 2001
+    rects = tuple([(0, y, 1, y + 1) for y in range(side - 1, -1, -1)]
+                  + [(x, 0, x + 1, side) for x in range(1, side)])
+    d = RectDrawing(side, side, rects)
+    tracemalloc.start()
+    try:
+        assert validate(d) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # one overlap, one hole: the area alone cannot tell
+    bad = RectDrawing(side, side, rects[:-1] + ((side - 2, 0, side - 1,
+                                                 side),))
+    assert validate(bad)[0].startswith(_UNION)

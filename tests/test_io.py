@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rectlab import cli, oeis
+from rectlab import cli, oeis, verify
 from rectlab.gentree import count_by_tree
 from rectlab.render import render_ascii, render_svg
 
@@ -119,6 +119,27 @@ def test_cli_verify_small(capsys):
     assert cli.main(["verify", "--suite", "guillotine", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_run_suites_caps_every_suite_with_a_max_n(monkeypatch):
+    calls = {}
+
+    def capped(ctx, max_n=7):
+        calls["capped"] = max_n
+        return verify.CheckResult("capped")
+
+    def uncapped(ctx, order=100):
+        calls["uncapped"] = order
+        return verify.CheckResult("uncapped")
+
+    monkeypatch.setattr(verify, "SUITES",
+                        {"capped": capped, "uncapped": uncapped})
+    verify.run_suites(max_n=3)
+    assert calls == {"capped": 3, "uncapped": 100}
+    verify.run_suites(max_n=9)
+    assert calls == {"capped": 7, "uncapped": 100}
+    verify.run_suites()
+    assert calls == {"capped": 7, "uncapped": 100}
 
 
 def test_cli_oeis_offline_fallback(capsys, tmp_path):
