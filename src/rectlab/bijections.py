@@ -107,26 +107,44 @@ def tree_size(t) -> int:
 
 
 def all_trees(n):
-    """All binary trees with n nodes."""
+    """All binary trees with n nodes: for each left size i in increasing
+    order, every left tree with every right tree.  The trees of sizes below
+    n are built once, level by level, and shared as subtrees; those of size
+    n are yielded one at a time."""
     if n == 0:
         yield None
         return
+    levels = [[None]]
+    for m in range(1, n):
+        levels.append([(left, right) for i in range(m)
+                       for left in levels[i] for right in levels[m - 1 - i]])
     for i in range(n):
-        for left in all_trees(i):
-            for right in all_trees(n - 1 - i):
+        for left in levels[i]:
+            for right in levels[n - 1 - i]:
                 yield (left, right)
+
+
+def _spine_values(t, base, out):
+    """Append the values of t, each raised by base, to out: walk the right
+    spine, recursing only into left subtrees, which keep the base of their
+    parent.  A right child's base is its parent's base plus the number of
+    values its parent and the parent's left subtree appended."""
+    while t is not None:
+        start = len(out)
+        out.append(base)
+        left, t = t
+        if left is not None:
+            _spine_values(left, base, out)
+        base += len(out) - start
 
 
 def tree_to_seq(t):
     """The non-decreasing sequence of the drawing grown from t, computed
     structurally: root contributes 0, the above-part keeps its values, the
     right-part is shifted past everything on the left."""
-    if t is None:
-        return ()
-    left, right = t
-    left_seq = tree_to_seq(left)
-    shift = 1 + len(left_seq)
-    return (0,) + left_seq + tuple(v + shift for v in tree_to_seq(right))
+    out = []
+    _spine_values(t, 0, out)
+    return tuple(out)
 
 
 def tree_images(n):

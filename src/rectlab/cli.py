@@ -49,10 +49,6 @@ def parse_range(text):
     return out
 
 
-def _rushed_count(n):
-    return sum(paths.gk_series(k, n)[n] for k in range(1, n + 1))
-
-
 def known_count(mode, avoid, n):
     """(value, method) via a class-specific formula, or None."""
     t_only = avoid & {"td", "tu", "tr", "tl"} == avoid
@@ -70,7 +66,7 @@ def known_count(mode, avoid, n):
         # both vertical-like or both horizontal-like
         if mode == "weak":
             return 2 ** (n - 1), "formula 2^(n-1)"
-        return _rushed_count(n), "bounded-height series"
+        return paths.rushed_count(n), "bounded-height series"
     if len(avoid) == 1:
         if mode == "weak":
             return paths.catalan(n), "catalan"
@@ -83,6 +79,8 @@ def known_count(mode, avoid, n):
 
 
 def class_count(mode, avoid, n, method="auto", max_n=None, cache_dir=None):
+    if n < 1:
+        raise UsageError(f"size must be >= 1, got {n}")
     if method in ("auto", "formula", "tree"):
         known = known_count(mode, avoid, n)
         if known is not None:
@@ -137,16 +135,16 @@ def cmd_list(args):
 
 
 _MAPS = {
-    "tau": (lambda d: bij.tau(d), lambda e: bij.tau_inv(e)),
-    "delta": (lambda d: bij.delta(d), lambda w: bij.delta_inv(w)),
-    "beta": (lambda d: bij.beta(d), None),
-    "tau6": (lambda d: bij.tau6(d), lambda e: bij.tau6_inv(e)),
-    "tau7": (lambda d: bij.tau7(d), lambda e: bij.tau7_inv(e)),
-    "tau8": (lambda d: bij.tau8(d), lambda e: bij.tau8_inv(e)),
-    "sigma": (lambda d: bij.sigma(d), lambda e: bij.sigma_inv(e)),
-    "comp": (lambda d: bij.composition_of(d), lambda c: bij.rect_of_composition(c)),
-    "nwword": (lambda d: bij.nw_word(d), lambda w: bij.rect_of_nw_word(w)),
-    "phi": (lambda w: paths.phi(w), lambda d: paths.phi_inv(d)),
+    "tau": (bij.tau, bij.tau_inv),
+    "delta": (bij.delta, bij.delta_inv),
+    "beta": (bij.beta, None),
+    "tau6": (bij.tau6, bij.tau6_inv),
+    "tau7": (bij.tau7, bij.tau7_inv),
+    "tau8": (bij.tau8, bij.tau8_inv),
+    "sigma": (bij.sigma, bij.sigma_inv),
+    "comp": (bij.composition_of, bij.rect_of_composition),
+    "nwword": (bij.nw_word, bij.rect_of_nw_word),
+    "phi": (paths.phi, paths.phi_inv),
 }
 
 

@@ -65,17 +65,6 @@ def _has_relorder_match(e, pat) -> bool:
     return k <= len(e) and _any_match(table, combinations(e, k))
 
 
-def _ends_in_match(e, pat) -> bool:
-    """Does e have an occurrence of the pattern that uses its last entry?
-    When e[:-1] avoids the pattern, this is the same as containment."""
-    k, table = pat
-    if k == 0:
-        return True
-    last = e[-1]
-    return k <= len(e) and _any_match(
-        table, (c + (last,) for c in combinations(e[:-1], k - 1)))
-
-
 def contains_pattern(e, p) -> bool:
     """Does e have a subsequence in the same relative order (with equalities)
     as p?"""
@@ -92,11 +81,44 @@ def avoids_all(e, pats) -> bool:
     return not any(contains_pattern(e, p) for p in pats)
 
 
+@lru_cache(maxsize=256)
+def _split(pat):
+    """The compiled pattern as (k, table of its first k-1 letters, (a, sign)
+    for each comparison of letter a with the last letter)."""
+    k, table = pat
+    return (k, tuple(row for row in table if row[1] < k - 1),
+            tuple((a, sign) for a, b, sign in table if b == k - 1))
+
+
 def _avoiding_values(prefix, pats):
     """Values v such that prefix + (v,) is an inversion sequence avoiding
-    the compiled patterns, given that the prefix avoids them."""
-    return [v for v in range(len(prefix) + 1)
-            if not any(_ends_in_match(prefix + (v,), pat) for pat in pats)]
+    the compiled patterns, given that the prefix avoids them: every
+    occurrence must then end at v.  Each distinct (k-1)-tuple of the prefix
+    that matches a pattern's first k-1 letters rules out the values that its
+    last letter allows, an interval or a single value."""
+    top = len(prefix)
+    allowed = [True] * (top + 1)
+    for pat in pats:
+        k, head, last = _split(pat)
+        if k == 0:
+            return []
+        for vals in set(combinations(prefix, k - 1)):
+            for a, b, sign in head:
+                x, y = vals[a], vals[b]
+                if (x > y) - (x < y) != sign:
+                    break
+            else:
+                lo, hi = 0, top
+                for a, sign in last:
+                    if sign > 0:
+                        hi = min(hi, vals[a] - 1)
+                    elif sign < 0:
+                        lo = max(lo, vals[a] + 1)
+                    else:
+                        lo, hi = max(lo, vals[a]), min(hi, vals[a])
+                if lo <= hi:
+                    allowed[lo:hi + 1] = [False] * (hi - lo + 1)
+    return [v for v in range(top + 1) if allowed[v]]
 
 
 def enumerate_invseq(n, avoid=(), cap=10):

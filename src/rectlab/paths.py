@@ -10,6 +10,7 @@ floating point appears only in the growth-rate root finding.
 from __future__ import annotations
 
 import math
+import threading
 
 from .drawing import RectDrawing, heap_order, make_drawing
 from .gentree import ClassError
@@ -186,18 +187,13 @@ def poly_mul(a, b, order):
     return out
 
 
-def series_inverse(q, order):
-    """1/q(x) to the given order; q must have constant term 1."""
-    if q[0] != 1:
-        raise ValueError("constant term must be 1")
-    inv = [0] * (order + 1)
-    inv[0] = 1
-    for m in range(1, order + 1):
+def _extend_inverse(q, inv, order):
+    """Extend inv, the series of 1/q so far, in place to the given order."""
+    for m in range(len(inv), order + 1):
         acc = 0
         for i in range(1, min(m, len(q) - 1) + 1):
             acc += q[i] * inv[m - i]
-        inv[m] = -acc
-    return inv
+        inv.append(-acc)
 
 
 def q_poly(m: int):
@@ -216,16 +212,46 @@ def q_poly(m: int):
     return b
 
 
+# Per height k, [q_{k+1}, the series of 1/q_{k+1} so far].  The series is a
+# pure function of k, so the record is shared by every caller and only ever
+# extended, under the lock so that two threads never append the same term
+# twice; readers copy or index it and never mutate it.
+_INVERSES = {}
+_INVERSES_LOCK = threading.Lock()
+
+
+def _inverse(k, order):
+    """The shared series of 1/q_{k+1}, extended to at least the given
+    order."""
+    with _INVERSES_LOCK:
+        rec = _INVERSES.get(k)
+        if rec is None:
+            rec = _INVERSES[k] = [q_poly(k + 1), [1]]
+        _extend_inverse(rec[0], rec[1], order)
+    return rec[1]
+
+
 def gk_series(k: int, order: int):
     """Coefficients 0..order of the height-k class generating function
-    x^k / q_{k+1}(x)."""
+    x^k / q_{k+1}(x), as a new list."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    inv = series_inverse(q_poly(k + 1) + [0], order)
-    out = [0] * (order + 1)
-    for m in range(k, order + 1):
-        out[m] = inv[m - k]
-    return out
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if order < k:
+        return [0] * (order + 1)
+    return [0] * k + _inverse(k, order - k)[:order - k + 1]
+
+
+def rushed_count(n: int) -> int:
+    """Rushed Dyck paths of semilength n + 1, which is the number of strong
+    classes of size n avoiding both vertical (or both horizontal) joints:
+    the sum over heights k <= n of [x^n] x^k / q_{k+1}(x).  Reads the shared
+    per-height records, so calls for every n up to N together cost one
+    series inverse per height to order N."""
+    if n < 1:
+        raise ValueError(f"size must be >= 1, got {n}")
+    return sum(_inverse(k, n - k)[n - k] for k in range(1, n + 1))
 
 
 def growth_rate(k: int) -> float:
@@ -265,18 +291,13 @@ def catalan(n: int) -> int:
 
 
 def catalan_series(order: int):
-    """Coefficients 0..order of the class generating function, computed by
-    iterating R <- x + xR + (x + xR) R to a fixed point."""
-    r = [0] * (order + 1)
-    for _ in range(order + 1):
-        xr = [0] + r[:order]
-        head = list(xr)  # x + xR
-        if order >= 1:
-            head[1] += 1
-        nxt = [a + b for a, b in zip(poly_mul(head, r, order), xr)]
-        if order >= 1:
-            nxt[1] += 1
-        if nxt == r:
-            break
-        r = nxt
-    return r
+    """Coefficients 0..order of the class generating function, the fixed
+    point of R = x + xR + (x + xR) R = x (1 + R)^2.  With s = 1 + R the
+    coefficient r_m is the sum of s_i s_j over i + j = m - 1, so one pass
+    computes the coefficients in increasing order."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    s = [1]
+    for m in range(1, order + 1):
+        s.append(sum(s[i] * s[m - 1 - i] for i in range(m)))
+    return [0] + s[1:]

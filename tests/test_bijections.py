@@ -126,9 +126,25 @@ def test_tree_to_seq_matches_size_based_definition():
         shift = 1 + bij.tree_size(left)
         return (0,) + by_size(left) + tuple(v + shift for v in by_size(right))
 
-    for n in range(10):
+    for n in range(11):
         for t in bij.all_trees(n):
             assert bij.tree_to_seq(t) == by_size(t)
+
+
+def _recursive_all_trees(n):
+    """Binary trees with n nodes, every subtree generated afresh."""
+    if n == 0:
+        yield None
+        return
+    for i in range(n):
+        for left in _recursive_all_trees(i):
+            for right in _recursive_all_trees(n - 1 - i):
+                yield (left, right)
+
+
+def test_all_trees_matches_the_recursive_generator():
+    for n in range(10):
+        assert list(bij.all_trees(n)) == list(_recursive_all_trees(n)), n
 
 
 def test_tree_images_match_tree_to_seq():

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,6 +190,32 @@ def test_enumeration_prunes_like_full_containment():
         for pats in sets:
             assert list(invseq.enumerate_invseq(n, pats)) == \
                 [e for e in every if invseq.avoids_all(e, pats)], (n, pats)
+
+
+def _avoiding_values_by_last_entry(prefix, pats):
+    """For each value v, look for an occurrence that ends at v among all
+    (k-1)-subsequences of the prefix."""
+    def ends_in_match(e, pat):
+        k, table = pat
+        if k == 0:
+            return True
+        return k <= len(e) and invseq._any_match(
+            table, (c + (e[-1],) for c in combinations(e[:-1], k - 1)))
+
+    return [v for v in range(len(prefix) + 1)
+            if not any(ends_in_match(prefix + (v,), pat) for pat in pats)]
+
+
+def test_avoiding_values_matches_the_last_entry_scan():
+    sets = [("",)] + [(w,) for w in _words()]
+    sets += [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")]
+    sets.append(("011", "201"))
+    compiled = [tuple(invseq._pattern(p) for p in pats) for pats in sets]
+    for n in range(7):
+        for e in invseq.enumerate_invseq(n):
+            for pats in compiled:
+                assert invseq._avoiding_values(e, pats) == \
+                    _avoiding_values_by_last_entry(e, pats), (e, pats)
 
 
 def test_extension_values_of_a_containing_prefix_is_empty():

@@ -115,6 +115,35 @@ def test_cli_usage_errors(capsys):
                      "--method", "universe"]) == 2  # over the cap
 
 
+@pytest.mark.parametrize("method", ["auto", "formula", "tree", "universe"])
+@pytest.mark.parametrize("cls", ["strong:avoid=td,tr", "strong:avoid=td,tu",
+                                 "strong:avoid=td,tu,tr,tl", "weak:avoid=td",
+                                 "strong:avoid=td", "strong:avoid=wm+"])
+def test_cli_count_rejects_size_zero(capsys, cls, method):
+    assert cli.main(["count", "--class", cls, "--n", "0",
+                     "--method", method]) == 2
+    assert cli.main(["count", "--class", cls, "--n", "0..2",
+                     "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--which", "gk", "--k", "2"],
+                                  ["--which", "catalan"]])
+def test_cli_series_rejects_a_negative_order(capsys, argv):
+    assert cli.main(["series", *argv, "--order", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "order must be >= 0" in captured.err
+
+
+def test_cli_map_choices():
+    assert sorted(cli._MAPS) == ["beta", "comp", "delta", "nwword", "phi",
+                                 "sigma", "tau", "tau6", "tau7", "tau8"]
+    assert cli.main(["map", "--bijection", "beta", "--direction", "inv",
+                     "--values", "1,2"]) == 2
+
+
 def test_cli_verify_small(capsys):
     assert cli.main(["verify", "--suite", "guillotine", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

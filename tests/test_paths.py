@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 
@@ -95,7 +98,7 @@ def test_gk_series():
 def test_strip_counts_sum_to_rushed():
     for m in range(2, 14):
         total = sum(paths.gk_series(k, m - 1)[m - 1] for k in range(1, m))
-        assert total == len(paths.rushed_paths(m))
+        assert total == len(paths.rushed_paths(m)) == paths.rushed_count(m - 1)
 
 
 def test_growth_rates():
@@ -117,3 +120,101 @@ def test_catalan_series():
     lhs = [a + b for a, b in zip(lhs, paths.poly_mul(two_x_minus_1, r, order))]
     lhs = [a + b for a, b in zip(lhs, x)]
     assert all(c == 0 for c in lhs)
+
+
+def _fixed_point_catalan_series(order):
+    """The Catalan series by iterating R <- x + xR + (x + xR) R to a fixed
+    point, each pass a full truncated product."""
+    r = [0] * (order + 1)
+    for _ in range(order + 1):
+        xr = [0] + r[:order]
+        head = list(xr)  # x + xR
+        if order >= 1:
+            head[1] += 1
+        nxt = [a + b for a, b in zip(paths.poly_mul(head, r, order), xr)]
+        if order >= 1:
+            nxt[1] += 1
+        if nxt == r:
+            break
+        r = nxt
+    return r
+
+
+def test_catalan_series_matches_the_fixed_point_iteration():
+    for order in range(61):
+        assert paths.catalan_series(order) == \
+            _fixed_point_catalan_series(order), order
+
+
+def _reference_gk_series(k, order):
+    """x^k / q_{k+1} to the given order, by a fresh series inverse."""
+    q = paths.q_poly(k + 1)
+    inv = [1] + [0] * order
+    for m in range(1, order + 1):
+        inv[m] = -sum(q[i] * inv[m - i]
+                      for i in range(1, min(m, len(q) - 1) + 1))
+    return [0] * min(k, order + 1) + inv[:max(0, order + 1 - k)]
+
+
+def _gk_reads():
+    up = [(k, order) for k in range(1, 7) for order in range(40)]
+    mixed = list(up)
+    random.Random(4).shuffle(mixed)
+    return {"ascending": up, "descending": up[::-1], "interleaved": mixed}
+
+
+@pytest.mark.parametrize("how", sorted(_gk_reads()))
+def test_gk_record_reads_in_any_order(monkeypatch, how):
+    monkeypatch.setattr(paths, "_INVERSES", {})
+    for k, order in _gk_reads()[how]:
+        got = paths.gk_series(k, order)
+        assert got == _reference_gk_series(k, order), (k, order)
+        got.append(-1)  # a copy: the shared record is not touched
+        if order >= k:
+            assert paths.rushed_count(order) == sum(
+                _reference_gk_series(j, order)[order]
+                for j in range(1, order + 1))
+
+
+@pytest.mark.parametrize("round_", range(8))
+def test_gk_record_is_shared_between_threads(monkeypatch, round_):
+    # more threads than cores, started together on one empty record with a
+    # short switch interval, so that two threads extending a record at once
+    # would append a term twice
+    monkeypatch.setattr(paths, "_INVERSES", {})
+    orders = (300, 150, 300, 250, 300, 200)
+    start = threading.Barrier(len(orders))
+    results = {}
+
+    def read(i, order):
+        start.wait(timeout=60)
+        results[i] = [paths.gk_series(k, order) for k in range(1, 9)]
+
+    threads = [threading.Thread(target=read, args=(i, order))
+               for i, order in enumerate(orders)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(len(orders)))
+    for i, order in enumerate(orders):
+        assert results[i] == [_reference_gk_series(k, order)
+                              for k in range(1, 9)]
+
+
+def test_series_reject_out_of_range_arguments():
+    with pytest.raises(ValueError):
+        paths.rushed_count(0)
+    with pytest.raises(ValueError):
+        paths.catalan_series(-1)
+    with pytest.raises(ValueError):
+        paths.gk_series(2, -3)
+    assert paths.catalan_series(0) == [0]
+    assert paths.gk_series(2, 0) == [0]
+    assert paths.gk_series(2, 1) == [0, 0]
