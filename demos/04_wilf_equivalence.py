@@ -11,7 +11,7 @@ bijectively in the other class and carries four statistics along.
 from collections import Counter
 
 from rectlab import reflect, sigma, tau7_inv
-from rectlab.invseq import avoids_all, class_check, enumerate_invseq, stats
+from rectlab.invseq import CLASS_PATTERNS, enumerate_invseq, stats
 
 
 def witness(e):
@@ -19,8 +19,8 @@ def witness(e):
 
 
 n = 6
-i7 = [e for e in enumerate_invseq(n) if class_check(e, "i7")]
-yl = [f for f in enumerate_invseq(n) if avoids_all(f, ("011", "201"))]
+i7 = list(enumerate_invseq(n, CLASS_PATTERNS["i7"]))
+yl = list(enumerate_invseq(n, ("011", "201")))
 print(f"n={n}: |I(010,101,120,201)| = {len(i7)}, |I(011,201)| = {len(yl)}")
 
 image = [witness(e) for e in i7]

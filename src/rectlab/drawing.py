@@ -350,9 +350,12 @@ def from_json(text: str) -> RectDrawing:
         boxes.append(tuple(_json_int(v, "rect coordinate") for v in r))
     d = RectDrawing(_json_int(obj.get("width"), "width"),
                     _json_int(obj.get("height"), "height"), tuple(boxes))
-    bad = validate(d)
-    if bad:
-        raise InvalidDrawing("; ".join(bad))
+    # One analysis for a valid drawing, kept as its kernel; validate runs
+    # only to list every violation of an invalid one.
+    try:
+        _kernel(d)
+    except InvalidDrawing:
+        raise InvalidDrawing("; ".join(validate(d))) from None
     return d
 
 
@@ -577,3 +580,15 @@ def ne_rect_index(d: RectDrawing) -> int:
 def size1() -> RectDrawing:
     """The degenerate one-rectangle drawing."""
     return RectDrawing(1, 1, ((0, 0, 1, 1),))
+
+
+def strip_drawing(height: int, rows) -> RectDrawing:
+    """A stack of height full-width rows with one unit vertical per interior
+    line x = 1..len(rows), the one on line x in row rows[x-1]."""
+    width = len(rows) + 1
+    boxes = []
+    for r in range(height):
+        cuts = [0] + [x for x, rr in enumerate(rows, 1) if rr == r] + [width]
+        boxes += [(cuts[t], r, cuts[t + 1], r + 1)
+                  for t in range(len(cuts) - 1)]
+    return make_drawing(width, height, boxes)

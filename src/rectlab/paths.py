@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .drawing import RectDrawing, heap_order, make_drawing
+from .drawing import RectDrawing, heap_order, strip_drawing
 from .gentree import ClassError
 from .patterns import contains
 
@@ -93,7 +93,28 @@ def is_progressive(word: str) -> bool:
 
 
 def rushed_paths(semilength: int, cap: int = 13):
-    return [p for p in dyck_paths(semilength, cap) if is_rushed(p)]
+    """All rushed Dyck words of the given semilength, lexicographic (D < U):
+    the dyck_paths words that is_rushed keeps, generated directly.  For each
+    initial rise h, ascending, the word goes on with a down-step and then
+    stays at altitude 0..h-1 until it returns to 0."""
+    if semilength > cap:
+        raise ValueError(f"semilength {semilength} exceeds the cap {cap}")
+    if semilength <= 0:
+        return [""] if semilength == 0 else []
+    out = []
+
+    def rec(word, alt, rest, ceiling):
+        if rest == 0:
+            out.append(word)
+            return
+        if alt > 0:
+            rec(word + "D", alt - 1, rest - 1, ceiling)
+        if alt < ceiling and alt + 1 <= rest - 1:
+            rec(word + "U", alt + 1, rest - 1, ceiling)
+
+    for h in range(1, semilength + 1):
+        rec("U" * h + "D", h - 1, 2 * semilength - h - 1, h - 1)
+    return out
 
 
 def progressive_paths(semilength: int, cap: int = 13):
@@ -113,7 +134,6 @@ def phi(word: str) -> RectDrawing:
     h = initial_rise(word)
     if h < 2:
         raise ClassError("rushed paths of semilength >= 2 have rise >= 2")
-    rows = h - 1
     alt = h
     bottoms = []
     for ch in word[h:]:
@@ -122,13 +142,7 @@ def phi(word: str) -> RectDrawing:
             alt += 1
         else:
             alt -= 1
-    width = len(bottoms) + 1
-    # cells: row r of each column, merged across columns where no vertical
-    boxes = []
-    for r in range(rows):
-        cuts = [0] + [x + 1 for x, b in enumerate(bottoms) if b == r] + [width]
-        boxes += [(cuts[t], r, cuts[t + 1], r + 1) for t in range(len(cuts) - 1)]
-    return make_drawing(width, rows, boxes)
+    return strip_drawing(h - 1, bottoms)
 
 
 def phi_inv(d: RectDrawing) -> str:
@@ -174,6 +188,11 @@ def strip_path_count(steps: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # exact series
+
+# Largest order catalan_series and gk_series compute.  The
+# coefficients have about 0.6 * order digits, so the cost grows faster than
+# order^2: order 2000 already takes seconds.
+SERIES_CAP = 2000
 
 
 def poly_mul(a, b, order):
@@ -231,13 +250,19 @@ def _inverse(k, order):
     return rec[1]
 
 
+def _check_order(order):
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if order > SERIES_CAP:
+        raise ValueError(f"order {order} exceeds the cap {SERIES_CAP}")
+
+
 def gk_series(k: int, order: int):
     """Coefficients 0..order of the height-k class generating function
     x^k / q_{k+1}(x), as a new list."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     if order < k:
         return [0] * (order + 1)
     return [0] * k + _inverse(k, order - k)[:order - k + 1]
@@ -295,8 +320,7 @@ def catalan_series(order: int):
     point of R = x + xR + (x + xR) R = x (1 + R)^2.  With s = 1 + R the
     coefficient r_m is the sum of s_i s_j over i + j = m - 1, so one pass
     computes the coefficients in increasing order."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     s = [1]
     for m in range(1, order + 1):
         s.append(sum(s[i] * s[m - 1 - i] for i in range(m)))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import patterns
 from .drawing import (InvalidDrawing, RectDrawing, canonical_drawing,
-                      make_drawing, strong_key, weak_key)
+                      make_drawing, strip_drawing, strong_key, weak_key)
 
 DEFAULT_MAX_N = 7
 
@@ -140,13 +140,7 @@ def count_strip_class(n: int) -> int:
         width = n + 1 - height
         seen = set()
         for rows in product(range(height), repeat=width - 1):
-            boxes = []
-            for r in range(height):
-                cuts = [0] + [x + 1 for x, rr in enumerate(rows) if rr == r] \
-                    + [width]
-                boxes += [(cuts[t], r, cuts[t + 1], r + 1)
-                          for t in range(len(cuts) - 1)]
-            seen.add(strong_key(make_drawing(width, height, boxes)))
+            seen.add(strong_key(strip_drawing(height, rows)))
         total += len(seen)
     return total
 

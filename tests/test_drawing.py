@@ -92,6 +92,40 @@ def test_json_round_trip(d3):
         from_json('{"width":2,"height":1,"rects":[[0,0,1,1]]}')
 
 
+def test_from_json_analyses_a_valid_drawing_once(monkeypatch, pinwheel):
+    from rectlab import drawing
+    calls = []
+    real = drawing._structure
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(drawing, "_structure", counting)
+    for d in [pinwheel] + universe.enumerate_strong(4):
+        del calls[:]
+        got = from_json(d.to_json())
+        assert got == d
+        segments_of(got), heap_order(got, "v"), canonical_drawing(got)
+        assert len(calls) == 1, d
+
+
+@pytest.mark.parametrize("rects, width, height", [
+    ([[0, 0, 1, 1]], 2, 1),                              # count, cover
+    ([[0, 1, 2, 2], [1, 0, 2, 1], [0, 0, 1, 1]], 2, 2),  # NW-SE order
+    ([[0, 0, 1, 1], [1, 0, 2, 1], [0, 1, 1, 2], [1, 1, 2, 2]], 3, 1),  # bounds
+    ([[0, 0, 1, 2], [1, 0, 2, 2], [0, 0, 2, 1]], 2, 2),  # overlap
+])
+def test_from_json_reports_every_violation(rects, width, height):
+    text = f'{{"width": {width}, "height": {height}, "rects": {rects}}}'
+    want = validate(RectDrawing(width, height,
+                                tuple(tuple(r) for r in rects)))
+    assert want
+    with pytest.raises(InvalidDrawing) as err:
+        from_json(text)
+    assert str(err.value) == "; ".join(want)
+
+
 @pytest.mark.parametrize("text", [
     '{"width": 1.9, "height": true, "rects": [[0, 0, 1.5, true]]}',
     '{"width": 1.0, "height": 1, "rects": [[0, 0, 1, 1]]}',

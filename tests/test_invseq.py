@@ -226,3 +226,15 @@ def test_extension_values_of_a_containing_prefix_is_empty():
             want = [u for u in range(len(e) + 1)
                     if invseq.avoids_all(e + (u,), pats)]
             assert invseq.extension_values(e, pats) == want, (e, pats)
+
+
+
+def test_pruned_class_enumeration_matches_class_check():
+    """The class sets verify enumerates by pruning are, list for list, the
+    class_check filters over every inversion sequence, at every size it
+    uses."""
+    for n in range(9):
+        every = list(invseq.enumerate_invseq(n))
+        for cls, pats in invseq.CLASS_PATTERNS.items():
+            assert list(invseq.enumerate_invseq(n, pats)) == \
+                [e for e in every if invseq.class_check(e, cls)], (n, cls)

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from rectlab import cli, oeis, verify
+from rectlab import cli, oeis, paths, verify
 from rectlab.gentree import count_by_tree
 from rectlab.render import render_ascii, render_svg
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_render_ascii_marks_joints(d3):
@@ -137,6 +140,17 @@ def test_cli_series_rejects_a_negative_order(capsys, argv):
     assert captured.out == "" and "order must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--which", "gk", "--k", "2"],
+                                  ["--which", "catalan"]])
+def test_cli_series_rejects_an_order_above_the_cap(capsys, argv):
+    too_big = str(paths.SERIES_CAP + 1)
+    for order in (too_big, "100000"):
+        assert cli.main(["series", *argv, "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"order {order} exceeds the cap" in captured.err
+
+
 def test_cli_map_choices():
     assert sorted(cli._MAPS) == ["beta", "comp", "delta", "nwword", "phi",
                                  "sigma", "tau", "tau6", "tau7", "tau8"]
@@ -169,6 +183,19 @@ def test_run_suites_caps_every_suite_with_a_max_n(monkeypatch):
     assert calls == {"capped": 7, "uncapped": 100}
     verify.run_suites()
     assert calls == {"capped": 7, "uncapped": 100}
+
+
+def test_run_suites_labels_match_the_golden_file():
+    """Every check line of the suites at max_n=6, in order, and all pass:
+    a rewritten suite cannot drop or rename a claim unnoticed."""
+    want = (DATA / "verify_labels_max_n6.txt").read_text().splitlines()
+    got = []
+    for res in verify.run_suites(max_n=6):
+        for line in res.lines:
+            status, label = line.split(" ", 1)
+            assert status == "PASS", line
+            got.append(f"{res.name}: {label}")
+    assert got == want
 
 
 def test_cli_oeis_offline_fallback(capsys, tmp_path):

@@ -25,6 +25,15 @@ def test_rushed():
     assert [len(paths.rushed_paths(m)) for m in (2, 3, 4)] == [1, 2, 4]
 
 
+def test_rushed_generator_matches_the_filter():
+    for m in range(-1, 13):
+        assert paths.rushed_paths(m) == \
+            [p for p in paths.dyck_paths(m) if paths.is_rushed(p)], m
+    with pytest.raises(ValueError):
+        paths.rushed_paths(14)
+    assert len(paths.rushed_paths(14, cap=14)) == paths.rushed_count(13)
+
+
 def test_progressive_counts_match_rushed():
     for m in range(1, 13):
         assert len(paths.progressive_paths(m)) == len(paths.rushed_paths(m))
@@ -215,6 +224,10 @@ def test_series_reject_out_of_range_arguments():
         paths.catalan_series(-1)
     with pytest.raises(ValueError):
         paths.gk_series(2, -3)
+    with pytest.raises(ValueError):
+        paths.catalan_series(paths.SERIES_CAP + 1)
+    with pytest.raises(ValueError):
+        paths.gk_series(3, paths.SERIES_CAP + 1)
     assert paths.catalan_series(0) == [0]
     assert paths.gk_series(2, 0) == [0]
     assert paths.gk_series(2, 1) == [0, 0]
