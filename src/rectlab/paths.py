@@ -268,6 +268,12 @@ def gk_series(k: int, order: int):
     return [0] * k + _inverse(k, order - k)[:order - k + 1]
 
 
+# Largest n rushed_count computes.  It extends the series of 1/q_{k+1} for
+# every height k <= n, about n^3 big-integer steps: n = 400 takes one to two
+# seconds, and each doubling of n costs about 8 times more.
+RUSHED_CAP = 400
+
+
 def rushed_count(n: int) -> int:
     """Rushed Dyck paths of semilength n + 1, which is the number of strong
     classes of size n avoiding both vertical (or both horizontal) joints:
@@ -276,6 +282,8 @@ def rushed_count(n: int) -> int:
     series inverse per height to order N."""
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
+    if n > RUSHED_CAP:
+        raise ValueError(f"size {n} exceeds the cap {RUSHED_CAP}")
     return sum(_inverse(k, n - k)[n - k] for k in range(1, n + 1))
 
 

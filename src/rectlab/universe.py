@@ -1,13 +1,34 @@
-"""Brute-force enumeration of all strong / weak generic rectangulations.
+"""Exhaustive enumeration of all strong / weak generic rectangulations.
 
-Ground truth for every count in the package: a DFS places a rectangle over
-the first uncovered cell of every (W, H) grid with W + H = n + 1, keeps the
-tilings that satisfy the genericity invariants, and dedupes by equivalence
-key.  Deliberately dumb so that it is obviously exhaustive.
+Ground truth for every count in the package, built by reverse search
+(Avis & Fukuda 1996): every class of size n > 1 has exactly one parent of
+size n - 1, and each class is built once, from its parent.
+
+The parent of a drawing D comes from deleting its NE rectangle R.  Exactly
+one of R's two inner sides lies on a segment that ends at R's SW corner
+(a side of the box counts as such a segment); retracting that side removes
+R.  The inverse operations build the children of a parent P:
+
+* left insertion: for each j = 1..k, with k the number of rects on P's east
+  side, the top j of them end on a new vertical segment N from the bottom
+  y_b of the j-th up to the top, and the new NE rect fills the space right
+  of N.  N's foot sits in one gap between the verticals whose top ends on
+  line y_b; a gap is feasible when no vertical that must lie right of N is
+  forced, by span overlap, to lie left of one that must lie left of N.  The
+  vertical lines are then laid out afresh: everything forced left of N in
+  its present order, then N, then the rest in their present order, so that
+  gaps the given coordinates hide are reached too;
+* bottom insertion: the same on the transposed drawing.
+
+Every child goes through make_drawing, with all its structural checks, and
+a class built twice raises, so the uniqueness the search relies on is
+checked on every run.  tests/test_drawing.py keeps a grid-tiling DFS that
+dedupes by key as the oracle this generator is tested against.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -15,47 +36,90 @@ from itertools import product
 from pathlib import Path
 
 from . import patterns
-from .drawing import (InvalidDrawing, RectDrawing, canonical_drawing,
-                      make_drawing, strip_drawing, strong_key, weak_key)
+from .drawing import InvalidDrawing  # noqa: F401 (re-exported)
+from .drawing import (RectDrawing, _forced_before, _line_spans,
+                      canonical_drawing, make_drawing, size1, strip_drawing,
+                      strong_key, weak_key)
 
 DEFAULT_MAX_N = 7
 
 
-def _tilings(width, height, max_rects, reverse=False):
-    """Yield all partitions of the width x height grid into rectangles."""
-    covered = [False] * (width * height)  # cells row by row, bottom row first
-    boxes = []
+def _left_insertions(width, height, rects, vspans):
+    """Box lists of the left insertions into the drawing of these rects,
+    each in a (width + 1) x height box; vspans holds (lo, hi) of the
+    vertical segment on each line x = 1..width-1."""
+    before = _forced_before(vspans)
+    erects = sorted((i for i, b in enumerate(rects) if b[2] == width),
+                    key=lambda i: -rects[i][3])
+    ending = set()  # the rects that end on N
+    for i in erects:
+        ending.add(i)
+        y_b = rects[i][1]
+        # left: the lines forced left of N, closed downwards; right: the
+        # verticals ending on line y_b right of N's foot
+        left, down = 0, []
+        for a, (lo, hi) in enumerate(vspans):
+            if hi > y_b:
+                left |= 1 << a | before[a]
+            elif hi == y_b:
+                down.append(a)
+        right = sum(1 << a for a in down)
+        for g in range(len(down) + 1):
+            if g:
+                a = down[g - 1]
+                left |= 1 << a | before[a]
+                right ^= 1 << a
+            if left & right:
+                continue
+            # the lines in left, then N on line xn, then the rest, each part
+            # in its present order
+            xn = left.bit_count() + 1
+            xmap = [0] * width + [width + 1]
+            x_left, x_right = 1, xn + 1
+            for a in range(width - 1):
+                if left >> a & 1:
+                    xmap[a + 1], x_left = x_left, x_left + 1
+                else:
+                    xmap[a + 1], x_right = x_right, x_right + 1
+            boxes = [(xmap[x0], y0, xn if k in ending else xmap[x1], y1)
+                     for k, (x0, y0, x1, y1) in enumerate(rects)]
+            boxes.append((xn, y_b, width + 1, height))
+            yield boxes
 
-    def rec(start):
-        # Each rect goes on the first free cell, so every cell before start
-        # is covered and the scan resumes there.
-        try:
-            k = covered.index(False, start)
-        except ValueError:
-            yield list(boxes)
-            return
-        if len(boxes) == max_rects:
-            return
-        y, x = divmod(k, width)
-        row = k - x
-        try:
-            wmax = covered.index(True, k, row + width) - row
-        except ValueError:
-            wmax = width
-        widths = range(x + 1, wmax + 1)
-        for x1 in (reversed(widths) if reverse else widths):
-            top = y  # rows y..top-1 of columns x..x1-1 are placed
-            while top < height and \
-                    not any(covered[top * width + x:top * width + x1]):
-                covered[top * width + x:top * width + x1] = [True] * (x1 - x)
-                top += 1
-                boxes.append((x, y, x1, top))
-                yield from rec(k + x1 - x)
-                boxes.pop()
-            for yy in range(y, top):
-                covered[yy * width + x:yy * width + x1] = [False] * (x1 - x)
 
-    yield from rec(0)
+def _transpose(boxes):
+    return [(y0, x0, y1, x1) for x0, y0, x1, y1 in boxes]
+
+
+def _children(p, shared=None):
+    """The drawings whose parent is p: its left insertions, then its bottom
+    insertions.  shared, a dict kept across calls, makes equal boxes one
+    tuple, so that a level's drawings hold a few hundred box tuples."""
+    share = ({} if shared is None else shared).setdefault
+    v, h = _line_spans(p)
+    for boxes in _left_insertions(p.width, p.height, p.rects, v):
+        yield make_drawing(p.width + 1, p.height,
+                           [share(b, b) for b in boxes])
+    for boxes in _left_insertions(p.height, p.width, _transpose(p.rects), h):
+        yield make_drawing(p.width, p.height + 1,
+                           [share(b, b) for b in _transpose(boxes)])
+
+
+def _next_level(parents):
+    """The canonical drawings of the children of parents, sorted by key; a
+    class built twice raises."""
+    reps, shared = {}, {}
+    for p in parents:
+        for d in _children(p, shared):
+            # keyed by the canonical drawing, which is kept anyway, so that
+            # the relations_of memo holds no other drawing
+            d = canonical_drawing(d)
+            key = strong_key(d)
+            if key in reps:
+                raise RuntimeError(f"a strong class was built twice: "
+                                   f"{d.to_json()}")
+            reps[key] = d
+    return [reps[k] for k in sorted(reps)]
 
 
 def _check_cap(n, max_n):
@@ -68,26 +132,18 @@ def _check_cap(n, max_n):
             "pass max_n explicitly to raise it")
 
 
-def enumerate_strong(n, *, max_n=None, cache_dir=None, _reverse=False):
-    """One canonical drawing per strong class of size n, sorted by key."""
+def enumerate_strong(n, *, max_n=None, cache_dir=None):
+    """One canonical drawing per strong class of size n, sorted by key;
+    built from the classes of size n - 1 (read from the cache when there)."""
     _check_cap(n, max_n)
     cached = _cache_load(cache_dir, n, "strong")
     if cached is not None:
         return cached
-    reps = {}
-    for width in range(1, n + 1):
-        height = n + 1 - width
-        for boxes in _tilings(width, height, n, reverse=_reverse):
-            if len(boxes) != n:
-                continue
-            try:
-                d = make_drawing(width, height, boxes)
-            except InvalidDrawing:
-                continue
-            key = strong_key(d)
-            if key not in reps:
-                reps[key] = canonical_drawing(d)
-    out = [reps[k] for k in sorted(reps)]
+    if n == 1:
+        out = [size1()]
+    else:
+        out = _next_level(enumerate_strong(n - 1, max_n=max_n,
+                                           cache_dir=cache_dir))
     _cache_store(cache_dir, n, "strong", out)
     return out
 
@@ -157,18 +213,39 @@ def _cache_path(cache_dir, n, mode):
     return Path(cache_dir) / f"universe-{mode}-{n}.jsonl"
 
 
+# Version of the cache file layout: a header line, then one drawing per line.
+CACHE_FORMAT = 2
+
+
+def _cache_header(mode, n, lines):
+    """The header line of a cache file with these body lines (bytes)."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    return (json.dumps({"format": CACHE_FORMAT, "mode": mode, "n": n,
+                        "count": len(lines), "sha256": digest.hexdigest()})
+            + "\n").encode()
+
+
 def _cache_load(cache_dir, n, mode):
+    """The cached drawings, or None when the file is missing or its header
+    does not match its body (a truncated, edited or header-less file), so
+    that the caller rebuilds it."""
     if cache_dir is None:
         return None
-    path = _cache_path(cache_dir, n, mode)
-    if not path.exists():
+    try:
+        with _cache_path(cache_dir, n, mode).open("rb") as fh:
+            head = fh.readline()
+            lines = fh.readlines()
+    except FileNotFoundError:
+        return None
+    if head != _cache_header(mode, n, lines):
         return None
     out = []
-    with path.open() as fh:
-        for line in fh:
-            obj = json.loads(line)
-            out.append(RectDrawing(obj["width"], obj["height"],
-                                   tuple(tuple(r) for r in obj["rects"])))
+    for line in lines:
+        obj = json.loads(line)
+        out.append(RectDrawing(obj["width"], obj["height"],
+                               tuple(tuple(r) for r in obj["rects"])))
     return out
 
 
@@ -177,8 +254,9 @@ def _cache_store(cache_dir, n, mode, drawings):
         return
     path = _cache_path(cache_dir, n, mode)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [(d.to_json() + "\n").encode() for d in drawings]
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        for d in drawings:
-            fh.write(d.to_json() + "\n")
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(_cache_header(mode, n, lines))
+        fh.writelines(lines)
     os.replace(tmp, path)  # atomic: concurrent writers agree on content

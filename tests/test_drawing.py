@@ -486,6 +486,10 @@ def _ref_canonical_drawing(d):
 
 
 def _ref_tilings(width, height, max_rects, reverse=False):
+    """The reference DFS: every tiling of the width x height grid by at most
+    max_rects rectangles, each placed on the first free cell, widths in
+    increasing (or, with reverse, decreasing) order.  It is the oracle for
+    universe.enumerate_strong."""
     grid = [[False] * width for _ in range(height)]
     boxes = []
 
@@ -582,12 +586,7 @@ def test_kernel_matches_reference_on_every_small_tiling():
     for width in range(1, 8):
         for height in range(1, 9 - width):
             cap = width + height - 1
-            tilings = list(_ref_tilings(width, height, cap))
-            # the DFS that resumes its first-free scan yields the same
-            assert list(universe._tilings(width, height, cap)) == tilings
-            assert list(universe._tilings(width, height, cap, True)) == \
-                list(_ref_tilings(width, height, cap, True))
-            for boxes in tilings:
+            for boxes in _ref_tilings(width, height, cap):
                 tried += 1
                 accepted += _boxes_agree(width, height, boxes)
     # one accepted tiling per drawing of n <= 7 rects in a W + H = n + 1 box

@@ -151,6 +151,17 @@ def test_cli_series_rejects_an_order_above_the_cap(capsys, argv):
         assert f"order {order} exceeds the cap" in captured.err
 
 
+def test_cli_count_rejects_a_rushed_size_above_the_cap(capsys):
+    with pytest.raises(ValueError):
+        paths.rushed_count(paths.RUSHED_CAP + 1)
+    for n in (str(paths.RUSHED_CAP + 1), "100000"):
+        assert cli.main(["count", "--class", "strong:avoid=tr,tl",
+                         "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"size {n} exceeds the cap {paths.RUSHED_CAP}" in captured.err
+
+
 def test_cli_map_choices():
     assert sorted(cli._MAPS) == ["beta", "comp", "delta", "nwword", "phi",
                                  "sigma", "tau", "tau6", "tau7", "tau8"]

@@ -1,9 +1,53 @@
+import hashlib
+from functools import cache
+
 import pytest
+from test_drawing import _ref_tilings
 
 from rectlab import universe
 from rectlab.bijections import beta
-from rectlab.drawing import canonical_drawing, strong_key, validate, weak_key
-from rectlab.patterns import avoids_all
+from rectlab.drawing import (InvalidDrawing, _line_spans, canonical_drawing,
+                             make_drawing, ne_rect_index, strong_key,
+                             validate, weak_key)
+from rectlab.patterns import avoids_all, contains
+
+
+@cache
+def _dfs_strong(n, reverse=False):
+    """The strong classes of size n from the reference tiling DFS: the first
+    tiling of each strong key wins, and is redrawn by canonical_drawing."""
+    reps = {}
+    for width in range(1, n + 1):
+        height = n + 1 - width
+        for boxes in _ref_tilings(width, height, n, reverse):
+            if len(boxes) != n:
+                continue
+            try:
+                d = make_drawing(width, height, boxes)
+            except InvalidDrawing:
+                continue
+            reps.setdefault(strong_key(d), d)
+    return [canonical_drawing(reps[k]) for k in sorted(reps)]
+
+
+def _parent(d):
+    """d without its NE rect R, by the parent rule: retract the one inner
+    side of R whose segment (or box side) ends at R's SW corner."""
+    x0, y0, _, _ = d.rects[ne_rect_index(d)]
+    v, h = _line_spans(d)
+    left = x0 > 0 and v[x0 - 1][0] == y0
+    bottom = y0 > 0 and h[y0 - 1][0] == x0
+    assert left != bottom
+    width, height, boxes = d.width, d.height, list(d.rects)
+    if bottom:
+        width, height, x0 = height, width, y0
+        boxes = universe._transpose(boxes)
+    # R goes, the rects that end on line x0 take its place, and the line goes
+    boxes = [(a - (a > x0), b, width - 1 if c == x0 else c - (c > x0), e)
+             for a, b, c, e in boxes if a != x0 or c != width]
+    if bottom:
+        return make_drawing(height, width - 1, universe._transpose(boxes))
+    return make_drawing(width - 1, height, boxes)
 
 
 def test_small_counts():
@@ -25,10 +69,60 @@ def test_members_are_valid_canonical_and_distinct():
 
 
 def test_counts_search_order_invariant():
+    # the reference DFS finds the same classes in either order of widths,
+    # and so does the generator
     for n in range(1, 6):
-        a = universe.enumerate_strong(n)
-        b = universe.enumerate_strong(n, _reverse=True)
-        assert [strong_key(d) for d in a] == [strong_key(d) for d in b]
+        keys = [strong_key(d) for d in universe.enumerate_strong(n)]
+        assert [strong_key(d) for d in _dfs_strong(n)] == keys
+        assert [strong_key(d) for d in _dfs_strong(n, True)] == keys
+
+
+def test_generator_matches_reference_dfs():
+    for n in range(1, 8):
+        assert universe.enumerate_strong(n) == _dfs_strong(n)
+
+
+def test_generator_reaches_n8():
+    # the digest of the sorted strong keys, from the tiling DFS
+    strong = universe.enumerate_strong(8, max_n=8)
+    keys = sorted(map(strong_key, strong))
+    assert len(keys) == 26194
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == \
+        "6e8621c2b46dc0a17a4a2c126c61eb064a40132068d94a3d989ded65575a151c"
+
+
+@cache
+def _families(n):
+    """(class, its children) for every strong class of size n."""
+    return [(p, list(universe._children(p)))
+            for p in universe.enumerate_strong(n)]
+
+
+def test_every_class_is_a_child_of_its_parent():
+    for n in range(2, 8):
+        children = {strong_key(p): {strong_key(c) for c in cs}
+                    for p, cs in _families(n - 1)}
+        for d in universe.enumerate_strong(n):
+            assert strong_key(d) in children[strong_key(_parent(d))]
+
+
+def test_pattern_containment_is_inherited():
+    built = 0
+    for n in range(1, 7):
+        for p, children in _families(n):
+            built += len(children)
+            for pid in ("td", "tu", "tr", "tl", "wm+", "wm-"):
+                if contains(p, pid):
+                    assert all(contains(c, pid) for c in children), pid
+    assert built == 4728
+
+
+def test_a_class_built_twice_raises(monkeypatch):
+    children = universe._children
+    monkeypatch.setattr(universe, "_children",
+                        lambda p, shared: [*children(p), *children(p)])
+    with pytest.raises(RuntimeError, match="built twice"):
+        universe.enumerate_strong(3)
 
 
 def test_class_counts(v2):
@@ -67,9 +161,36 @@ def test_size_cap():
 
 def test_cache_round_trip(tmp_path):
     a = universe.enumerate_strong(4, cache_dir=tmp_path)
-    assert (tmp_path / "universe-strong-4.jsonl").exists()
+    path = tmp_path / "universe-strong-4.jsonl"
+    head, *body = path.read_text().splitlines()
+    assert head.startswith('{"format": 2, "mode": "strong", "n": 4, '
+                           '"count": 24, "sha256": ')
+    assert len(body) == 24
     b = universe.enumerate_strong(4, cache_dir=tmp_path)
     assert a == b
+
+
+def test_truncated_cache_is_rebuilt(tmp_path):
+    universe.enumerate_strong(5, cache_dir=tmp_path)
+    path = tmp_path / "universe-strong-5.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    assert len(universe.enumerate_strong(5, cache_dir=tmp_path)) == 116
+    assert path.read_text().splitlines(keepends=True) == lines
+    # level 6 is built from the rebuilt level 5
+    path.write_text("".join(lines[:-1]))
+    assert len(universe.enumerate_strong(6, cache_dir=tmp_path)) == 642
+
+
+def test_headerless_or_damaged_cache_is_rebuilt(tmp_path):
+    want = universe.enumerate_weak(4, cache_dir=tmp_path)
+    path = tmp_path / "universe-weak-4.jsonl"
+    head, *body = path.read_text().splitlines(keepends=True)
+    for text in ("".join(body), "", head,
+                 head + "".join(body).replace("1", "2", 1)):
+        path.write_text(text)
+        assert universe.enumerate_weak(4, cache_dir=tmp_path) == want
+        assert path.read_text() == head + "".join(body)
 
 
 def test_strip_class_oracle_matches_universe():
