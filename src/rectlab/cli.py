@@ -49,44 +49,41 @@ def parse_range(text):
     return out
 
 
-def known_count(mode, avoid, n):
-    """(value, method) via a class-specific formula, or None."""
-    t_only = avoid & {"td", "tu", "tr", "tl"} == avoid
-    if not t_only:
-        return None
-    verts = avoid & {"td", "tu"}
-    horiz = avoid & {"tr", "tl"}
-    if len(avoid) == 4:
-        return (1 if n == 1 else 2), "formula 2"
-    if len(avoid) == 3:
-        return n, "formula n"
-    if len(avoid) == 2:
-        if verts and horiz:
-            return 2 ** (n - 1), "formula 2^(n-1)"
-        # both vertical-like or both horizontal-like
-        if mode == "weak":
-            return 2 ** (n - 1), "formula 2^(n-1)"
-        return paths.rushed_count(n), "bounded-height series"
-    if len(avoid) == 1:
-        if mode == "weak":
-            return paths.catalan(n), "catalan"
-        tree = "t1" if avoid & {"td", "tu"} else None
-        if tree:
-            return gentree.count_by_tree(tree, n), "tree dp"
-        # single sideways pattern: rotate the board a quarter turn
-        return gentree.count_by_tree("t1", n), "tree dp"
-    return None
+# Counting method of every class that avoids a nonempty L within
+# {td, tu, tr, tl}: one row per orbit of the 32 (mode, L) cells under the
+# dihedral symmetries, keyed by (mode, |L|, whether L mixes a vertical joint
+# td/tu with a sideways one tr/tl).  A row holds the tag `count` prints and
+# the count as a function of n; a class with no row is counted in the
+# universe.  The functions are looked up at call time, so that a tracer that
+# wraps module functions sees these calls.
+CLASSES = {
+    ("weak", 1, False): ("catalan", lambda n: paths.catalan(n)),
+    ("strong", 1, False): ("tree dp",
+                           lambda n: gentree.count_by_tree("t1", n)),
+    ("weak", 2, False): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("strong", 2, False): ("bounded-height series",
+                           lambda n: paths.rushed_count(n)),
+    ("weak", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("strong", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("weak", 3, True): ("formula n", lambda n: n),
+    ("strong", 3, True): ("formula n", lambda n: n),
+    ("weak", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
+    ("strong", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
+}
+
+_VERTICAL, _SIDEWAYS = frozenset({"td", "tu"}), frozenset({"tr", "tl"})
 
 
 def class_count(mode, avoid, n, method="auto", max_n=None, cache_dir=None):
+    """(value, tag): the class's CLASSES row under method "auto", else the
+    universe count."""
     if n < 1:
         raise UsageError(f"size must be >= 1, got {n}")
-    if method in ("auto", "formula", "tree"):
-        known = known_count(mode, avoid, n)
-        if known is not None:
-            return known
-        if method != "auto":
-            raise UsageError(f"no formula for {mode}:{sorted(avoid)}")
+    if method == "auto" and avoid <= _VERTICAL | _SIDEWAYS:
+        row = CLASSES.get((mode, len(avoid),
+                           bool(avoid & _VERTICAL and avoid & _SIDEWAYS)))
+        if row is not None:
+            return row[1](n), row[0]
     return (universe.count_class(n, mode, avoid, max_n=max_n,
                                  cache_dir=cache_dir), "universe")
 
@@ -225,11 +222,13 @@ def cmd_verify(args):
 
 def cmd_oeis(args):
     mode, avoid = parse_class_spec(args.cls)
-    ours = {}
+    ours, tag = {}, "no terms"
+    # --max-n bounds the terms compared, not the universe: a class with no
+    # CLASSES row stops at the universe's default cap
     for n in range(1, args.max_n + 1):
         try:
-            ours[n], method = class_count(mode, avoid, n, max_n=args.max_n,
-                                          cache_dir=_cache_dir(args))
+            ours[n], tag = class_count(mode, avoid, n,
+                                       cache_dir=_cache_dir(args))
         except ValueError:
             break
     client = oeis.OeisClient(cache_dir=_cache_dir(args),
@@ -239,7 +238,7 @@ def cmd_oeis(args):
     except oeis.OeisError as exc:
         print(f"oeis: {exc}", file=sys.stderr)
         return 3
-    side = f"ours = {mode}:avoid={','.join(sorted(avoid))} (oracle-derived)"
+    side = f"ours = {mode}:avoid={','.join(sorted(avoid))} [{tag}]"
     print(f"{args.id} vs {side}: checked {report['checked']} terms, "
           f"{len(report['mismatches'])} mismatches")
     for n, ours_v, ref in report["mismatches"]:
@@ -261,8 +260,7 @@ def build_parser():
     p = sub.add_parser("count", help="count class members by size")
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--n", required=True, help="size or range like 1..6")
-    p.add_argument("--method", choices=("auto", "universe", "tree", "formula"),
-                   default="auto")
+    p.add_argument("--method", choices=("auto", "universe"), default="auto")
     common(p)
     p.set_defaults(fn=cmd_count)
 

@@ -441,15 +441,17 @@ def heap_order(d: RectDrawing, orientation: str):
     return pieces, prec
 
 
-def linear_extension(pieces, prec) -> list[int]:
-    """Indices of pieces extracted minimal-first, lowest span first among
-    minimal ones (for horizontals that is the left-most linear extension)."""
+def linear_extension(pieces, prec,
+                     key=lambda p: (p.lo, p.hi)) -> list[int]:
+    """Indices of pieces extracted minimal-first, the lowest key(piece) first
+    among minimal ones; the default, lowest span first, gives for
+    horizontals the left-most linear extension."""
     remaining = set(range(len(pieces)))
     out = []
     while remaining:
         minimal = [i for i in remaining
                    if not any((j, i) in prec for j in remaining)]
-        nxt = min(minimal, key=lambda i: (pieces[i].lo, pieces[i].hi))
+        nxt = min(minimal, key=lambda i: key(pieces[i]))
         out.append(nxt)
         remaining.remove(nxt)
     return out

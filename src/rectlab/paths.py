@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import threading
 
-from .drawing import RectDrawing, heap_order, strip_drawing
+from .drawing import (RectDrawing, heap_order, linear_extension,
+                      strip_drawing)
 from .gentree import ClassError
 from .patterns import contains
 
@@ -152,18 +153,10 @@ def phi_inv(d: RectDrawing) -> str:
     if contains(d, "tr") or contains(d, "tl"):
         raise ClassError("drawing has a horizontal segment not spanning W to E")
     pieces, prec = heap_order(d, "v")
-    remaining = set(range(len(pieces)))
-    order = []
-    while remaining:
-        ready = [i for i in remaining
-                 if not any((j, i) in prec for j in remaining)]
-        nxt = max(ready, key=lambda i: pieces[i].lo)
-        order.append(nxt)
-        remaining.remove(nxt)
     h = d.height + 1
     out = ["U" * h]
     alt = h
-    for i in order:
+    for i in linear_extension(pieces, prec, key=lambda p: -p.lo):
         out.append("D" * (alt - pieces[i].lo) + "U")
         alt = pieces[i].lo + 1
     out.append("D" * alt)

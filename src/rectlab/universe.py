@@ -148,16 +148,22 @@ def enumerate_strong(n, *, max_n=None, cache_dir=None):
     return out
 
 
+def weak_classes(strong):
+    """One representative per weak class among these strong classes, sorted
+    by weak key; the first strong representative of each wins."""
+    reps = {}
+    for d in strong:
+        reps.setdefault(weak_key(d), d)
+    return [reps[k] for k in sorted(reps)]
+
+
 def enumerate_weak(n, *, max_n=None, cache_dir=None):
     """One representative per weak class of size n (first strong rep wins)."""
     _check_cap(n, max_n)
     cached = _cache_load(cache_dir, n, "weak")
     if cached is not None:
         return cached
-    reps = {}
-    for d in enumerate_strong(n, max_n=max_n, cache_dir=cache_dir):
-        reps.setdefault(weak_key(d), d)
-    out = [reps[k] for k in sorted(reps)]
+    out = weak_classes(enumerate_strong(n, max_n=max_n, cache_dir=cache_dir))
     _cache_store(cache_dir, n, "weak", out)
     return out
 

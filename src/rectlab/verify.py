@@ -46,10 +46,7 @@ class _Ctx:
 
     def weak(self, n):
         if n not in self._weak:
-            reps = {}
-            for d in self.strong(n):
-                reps.setdefault(weak_key(d), d)
-            self._weak[n] = [reps[k] for k in sorted(reps)]
+            self._weak[n] = universe.weak_classes(self.strong(n))
         return self._weak[n]
 
     def strong_class(self, n, avoid):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,37 @@ def test_cli_count_universe_method(capsys):
     assert capsys.readouterr().out.split("\t")[1] == "8"
 
 
+# One spec per CLASSES row and the line `count` prints for it at n = 10.
+@pytest.mark.parametrize("cls,line", [
+    ("weak:avoid=td", "10\t16796\t[catalan]"),
+    ("strong:avoid=td", "10\t59146\t[tree dp]"),
+    ("weak:avoid=td,tu", "10\t512\t[formula 2^(n-1)]"),
+    ("strong:avoid=tr,tl", "10\t3625\t[bounded-height series]"),
+    ("weak:avoid=td,tr", "10\t512\t[formula 2^(n-1)]"),
+    ("strong:avoid=tu,tl", "10\t512\t[formula 2^(n-1)]"),
+    ("weak:avoid=td,tu,tr", "10\t10\t[formula n]"),
+    ("strong:avoid=tu,tr,tl", "10\t10\t[formula n]"),
+    ("weak:avoid=td,tu,tr,tl", "10\t2\t[formula 2]"),
+    ("strong:avoid=td,tu,tr,tl", "10\t2\t[formula 2]"),
+])
+def test_cli_count_line_per_class_row(capsys, cls, line):
+    assert cli.main(["count", "--class", cls, "--n", "10"]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_class_table_matches_universe(ctx):
+    """Every class avoiding a nonempty L within {td, tu, tr, tl} has a
+    CLASSES row, and its count equals the universe's for n <= 7."""
+    for mode in ("weak", "strong"):
+        members = ctx.weak_class if mode == "weak" else ctx.strong_class
+        for k in range(1, 5):
+            for avoid in combinations(("td", "tu", "tr", "tl"), k):
+                for n in range(1, 8):
+                    value, tag = cli.class_count(mode, frozenset(avoid), n)
+                    assert tag != "universe", (mode, avoid)
+                    assert value == len(members(n, avoid)), (mode, avoid, n)
+
+
 def test_cli_list_and_map(capsys, tmp_path, d3):
     assert cli.main(["list", "--class", "strong:avoid=td", "--n", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -118,7 +150,7 @@ def test_cli_usage_errors(capsys):
                      "--method", "universe"]) == 2  # over the cap
 
 
-@pytest.mark.parametrize("method", ["auto", "formula", "tree", "universe"])
+@pytest.mark.parametrize("method", ["auto", "universe"])
 @pytest.mark.parametrize("cls", ["strong:avoid=td,tr", "strong:avoid=td,tu",
                                  "strong:avoid=td,tu,tr,tl", "weak:avoid=td",
                                  "strong:avoid=td", "strong:avoid=wm+"])
@@ -130,6 +162,17 @@ def test_cli_count_rejects_size_zero(capsys, cls, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "size must be >= 1" in captured.err
+
+
+def test_cli_oeis_stops_at_the_universe_cap(capsys, tmp_path):
+    """--max-n bounds the terms compared; the universe is not built past its
+    default cap for them."""
+    assert cli.main(["oeis", "--id", "A342141", "--class", "strong:avoid=wm+",
+                     "--max-n", "8", "--offline",
+                     "--cache-dir", str(tmp_path)]) == 3
+    assert (tmp_path / "universe-strong-7.jsonl").exists()
+    assert not (tmp_path / "universe-strong-8.jsonl").exists()
+    assert "offline" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--which", "gk", "--k", "2"],
