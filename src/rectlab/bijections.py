@@ -14,7 +14,8 @@ from __future__ import annotations
 from . import invseq
 from .drawing import (RectDrawing, canonical_drawing, l_labels, make_drawing,
                       order_labels, size1)
-from .gentree import ClassError, replay_rect, trace_of_invseq
+from .gentree import (ClassError, _check_t1_rect, _check_t2_rect, replay_rect,
+                      trace_of_invseq)
 from .patterns import contains
 
 # ---------------------------------------------------------------------------
@@ -23,8 +24,8 @@ from .patterns import contains
 
 def tau(d: RectDrawing, check=True):
     """Left-count labels read in SW-NE order."""
-    if check and contains(d, "td"):
-        raise ClassError("drawing has a vertical segment not reaching N")
+    if check:
+        _check_t1_rect(d)
     labels = l_labels(d)
     return tuple(labels[i] for i in order_labels(d, "sw-ne"))
 
@@ -73,8 +74,7 @@ def delta_direct(d: RectDrawing) -> str:
     """Dyck word read off the drawing itself: up the left side and each
     vertical segment (one U per right neighbor, bottom to top), down with one
     D per left neighbor, finishing along the right side."""
-    if contains(d, "td"):
-        raise ClassError("drawing has a vertical segment not reaching N")
+    _check_t1_rect(d)
     out = ["U" * sum(b[0] == 0 for b in d.rects)]
     for x in range(1, d.width):
         out.append("D" * sum(b[2] == x for b in d.rects))
@@ -226,8 +226,7 @@ def tau7(d: RectDrawing):
     """Contact-corrected left-count reading: start from the weak reading and
     lower each plateau entry by the index of the left neighbor its SW corner
     touches."""
-    if contains(d, "td"):
-        raise ClassError("drawing has a vertical segment not reaching N")
+    _check_t1_rect(d)
     e = list(tau(d, check=False))
     pos = {r: p for p, r in enumerate(order_labels(d, "sw-ne"))}
     for x in range(1, d.width):
@@ -284,8 +283,7 @@ def tree_T(d: RectDrawing):
     left side of Y; the root is the unique E-rectangle, a virtual node when
     there are several.  Returns (root, parents, children) over rect indices,
     root = -1 for the virtual node."""
-    if contains(d, "tu"):
-        raise ClassError("drawing has a vertical segment not reaching S")
+    _check_t2_rect(d)
     d = canonical_drawing(d)
     erects = [i for i, b in enumerate(d.rects) if b[2] == d.width]
     root = erects[0] if len(erects) == 1 else -1

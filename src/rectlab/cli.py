@@ -222,6 +222,14 @@ def cmd_verify(args):
 
 def cmd_oeis(args):
     mode, avoid = parse_class_spec(args.cls)
+    client = oeis.OeisClient(cache_dir=_cache_dir(args),
+                             offline=args.offline)
+    # the b-file before our side, so that a miss costs no counting
+    try:
+        b_file = client.b_file(args.id)
+    except oeis.OeisError as exc:
+        print(f"oeis: {exc}", file=sys.stderr)
+        return 3
     ours, tag = {}, "no terms"
     # --max-n bounds the terms compared, not the universe: a class with no
     # CLASSES row stops at the universe's default cap
@@ -231,13 +239,7 @@ def cmd_oeis(args):
                                        cache_dir=_cache_dir(args))
         except ValueError:
             break
-    client = oeis.OeisClient(cache_dir=_cache_dir(args),
-                             offline=args.offline)
-    try:
-        report = client.compare(args.id, ours, offset=args.offset)
-    except oeis.OeisError as exc:
-        print(f"oeis: {exc}", file=sys.stderr)
-        return 3
+    report = oeis._compare(args.id, b_file, ours, args.offset)
     side = f"ours = {mode}:avoid={','.join(sorted(avoid))} [{tag}]"
     print(f"{args.id} vs {side}: checked {report['checked']} terms, "
           f"{len(report['mismatches'])} mismatches")

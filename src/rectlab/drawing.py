@@ -75,8 +75,10 @@ class InvalidDrawing(ValueError):
 # its relation matrix (_rows).  make_drawing hands the result to the drawing
 # it returns as its kernel: (relations in NW-SE indices, segment spans).
 # relations_of, segments_of, joints_of, heap_order, order_labels, l_labels
-# and canonical_drawing read the kernel; a drawing built any other way gets
-# its kernel on first use, after the same checks (_kernel).
+# and canonical_drawing read the kernel, and outside the validator every
+# segment endpoint is read from it: patterns finds windmills from joints_of,
+# gentree reads _line_spans by line index.  A drawing built any other way
+# gets its kernel on first use, after the same checks (_kernel).
 
 
 def _report(out, msg):

@@ -20,9 +20,9 @@ from __future__ import annotations
 import threading
 
 from . import invseq
-from .drawing import (InvalidDrawing, RectDrawing, canonical_drawing,
-                      make_drawing_with_perm, ne_rect_index, segments_of,
-                      size1)
+from .drawing import (InvalidDrawing, RectDrawing, _line_spans,
+                      canonical_drawing, make_drawing_with_perm,
+                      ne_rect_index, size1)
 from .patterns import contains
 
 STAR, DSTAR, TSTAR = "*", "**", "***"
@@ -56,24 +56,16 @@ def _n_rects_left_right(d):
 def _left_neighbor_lines(d, x, y_lo, y_hi):
     """Lines of horizontal segments whose right endpoint sits on the open
     part of the vertical line x between y_lo and y_hi."""
-    if x == 0:
-        return []
-    return sorted(s.axis for s in segments_of(d)
-                  if s.orientation == "h" and s.hi == x
-                  and y_lo < s.axis < y_hi)
+    h = _line_spans(d)[1]
+    return [y for y in range(y_lo + 1, y_hi) if h[y - 1][1] == x]
 
 
 def _active_td_joints(d):
     """Active top-joint positions (vertical top ends inside a horizontal
     that reaches the right side), ordered right to left."""
-    hseg = {s.axis: s for s in segments_of(d) if s.orientation == "h"}
-    joints = []
-    for s in segments_of(d):
-        if s.orientation == "v" and s.hi < d.height:
-            h = hseg[s.hi]
-            if h.lo < s.axis < h.hi and h.hi == d.width:
-                joints.append((s.axis, s.hi))
-    return sorted(joints, reverse=True)
+    v, h = _line_spans(d)
+    return [(x, hi) for x, (_, hi) in enumerate(v, 1)
+            if hi < d.height and h[hi - 1][1] == d.width][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +118,8 @@ def _t1_delete(d):
     """Remove the NE rectangle; returns (parent, step)."""
     ne = ne_rect_index(d)
     x0, y0, _, _ = d.rects[ne]
-    n = d.size
-    vseg = {s.axis: s for s in segments_of(d) if s.orientation == "v"}
-    star = y0 == 0 or (x0 > 0 and vseg[x0].lo == y0)
+    v, h = _line_spans(d)
+    star = y0 == 0 or (x0 > 0 and v[x0 - 1][0] == y0)
     if star:
         lefts = [i for i, b in enumerate(d.rects) if b[2] == x0]
         j = len(lefts) if y0 == 0 else len(
@@ -144,11 +135,10 @@ def _t1_delete(d):
         parent = make_drawing_with_perm(d.width - 1, d.height, boxes)[0]
         step = (STAR, j)
     else:
-        hseg = {s.axis: s for s in segments_of(d) if s.orientation == "h"}
         below = [i for i, b in enumerate(d.rects) if b[3] == y0]
         _require(len(below) == 1, "expected a single rectangle below the shelf")
         yb = d.rects[below[0]][1]
-        _require(d.rects[below[0]][0] == x0 and hseg[y0].lo == x0,
+        _require(d.rects[below[0]][0] == x0 and h[y0 - 1][0] == x0,
                  "shelf does not span the NE rectangle")
         i_param = len(_left_neighbor_lines(d, x0, y0, d.height))
         boxes = []
@@ -253,8 +243,8 @@ def _t2_delete(d):
 def _td_joints_on(d, y, x_left):
     """Number of vertical segments whose top endpoint lies strictly inside
     the horizontal segment at line y (which spans [x_left, W])."""
-    return sum(1 for s in segments_of(d)
-               if s.orientation == "v" and s.hi == y and x_left < s.axis < d.width)
+    v = _line_spans(d)[0]
+    return sum(1 for x in range(x_left + 1, d.width) if v[x - 1][1] == y)
 
 
 # ---------------------------------------------------------------------------

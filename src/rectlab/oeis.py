@@ -60,16 +60,22 @@ class OeisClient:
     def compare(self, seq_id, ours, offset=0):
         """Compare {index: value} pairs we derived against the b-file,
         shifting our index by offset; returns a report dict."""
-        ref = dict(self.b_file(seq_id))
-        checked, mismatches = 0, []
-        for n, v in sorted(ours.items()):
-            idx = n + offset
-            if idx in ref:
-                checked += 1
-                if ref[idx] != v:
-                    mismatches.append((n, v, ref[idx]))
-        return {"id": seq_id, "checked": checked,
-                "mismatches": mismatches, "ok": not mismatches and checked > 0}
+        return _compare(seq_id, self.b_file(seq_id), ours, offset)
+
+
+def _compare(seq_id, b_file, ours, offset):
+    """OeisClient.compare against the (index, value) pairs of a loaded
+    b-file."""
+    ref = dict(b_file)
+    checked, mismatches = 0, []
+    for n, v in sorted(ours.items()):
+        idx = n + offset
+        if idx in ref:
+            checked += 1
+            if ref[idx] != v:
+                mismatches.append((n, v, ref[idx]))
+    return {"id": seq_id, "checked": checked,
+            "mismatches": mismatches, "ok": not mismatches and checked > 0}
 
 
 def _parse_b_file(text):

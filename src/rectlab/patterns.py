@@ -17,58 +17,35 @@ PATTERNS = (TD, TU, TR, TL, WINDMILL_CW, WINDMILL_CCW)
 _T_KINDS = {TD, TU, TR, TL}
 
 
-def _ends_on(segs):
-    """Directed edges (i, kind, j): an endpoint of segs[i] lies in the open
-    interior of segs[j]; kind is the joint formed there."""
-    out = []
-    for i, s in enumerate(segs):
-        for j, t in enumerate(segs):
-            if s.orientation == t.orientation:
-                continue
-            if s.orientation == "v":
-                if t.axis == s.hi and t.lo < s.axis < t.hi:
-                    out.append((i, TD, j))
-                if t.axis == s.lo and t.lo < s.axis < t.hi:
-                    out.append((i, TU, j))
-            else:
-                if t.axis == s.lo and t.lo < s.axis < t.hi:
-                    out.append((i, TR, j))
-                if t.axis == s.hi and t.lo < s.axis < t.hi:
-                    out.append((i, TL, j))
-    return out
-
-
 def _windmills(d):
-    """4-cycles of segments each ending on the next, split by chirality."""
-    segs = segments_of(d)
-    edges = _ends_on(segs)
-    nxt = {}
-    for i, kind, j in edges:
-        nxt.setdefault(i, []).append((kind, j))
+    """4-cycles of segments each ending on the next, split by chirality.
+
+    Segments are indexed in segments_of order.  A joint at (x, y) joins the
+    vertical at index x - 1 and the horizontal at index W - 2 + y; its kind
+    says which of the two ends there.  A windmill has exactly one td and one
+    tu joint, so each is found once, from its td edge; the validator's ban
+    on shared endpoints makes its four segments distinct.  Each cycle starts
+    at its lowest index and each list is sorted."""
+    host = {}  # (segment, kind of its end) -> the segment it ends on
+    for (x, y), kind in joints_of(d):
+        v, h = x - 1, d.width - 2 + y
+        if kind in (TD, TU):
+            host[v, kind] = h
+        else:
+            host[h, kind] = v
     cw, ccw = [], []
-    seen = set()
-    for a in range(len(segs)):
-        for k1, b in nxt.get(a, ()):
-            for k2, c in nxt.get(b, ()):
-                for k3, e in nxt.get(c, ()):
-                    for k4, f in nxt.get(e, ()):
-                        if f != a or len({a, b, c, e}) != 4:
-                            continue
-                        key = frozenset((a, b, c, e))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        kinds = dict(zip((a, b, c, e), (k1, k2, k3, k4)))
-                        # chirality: which endpoint the horizontal after the
-                        # TD edge uses (tl = one sense, tr = the other)
-                        cyc = (a, b, c, e)
-                        for idx in range(4):
-                            if kinds[cyc[idx]] == TD:
-                                follow = kinds[cyc[(idx + 1) % 4]]
-                                occ = tuple(segs[x] for x in cyc)
-                                (cw if follow == TL else ccw).append(occ)
-                                break
-    return cw, ccw
+    for (a, kind), b in host.items():
+        if kind != TD:
+            continue
+        # chirality: which endpoint the horizontal after the td edge uses
+        for follow, out in ((TL, cw), (TR, ccw)):
+            c = host.get((b, follow))
+            e = host.get((c, TU))
+            if e is not None and a in (host.get((e, TR)), host.get((e, TL))):
+                out.append((a, b, c, e) if a < c else (c, e, a, b))
+    segs = segments_of(d)
+    return ([tuple(segs[i] for i in cyc) for cyc in sorted(cw)],
+            [tuple(segs[i] for i in cyc) for cyc in sorted(ccw)])
 
 
 def occurrences(d: RectDrawing, pattern: str):

@@ -1,7 +1,7 @@
 import pytest
 
 from rectlab import gentree, invseq, universe
-from rectlab.drawing import strong_key
+from rectlab.drawing import segments_of, strong_key
 from rectlab.gentree import (ClassError, count_by_tree, level_counts,
                              replay_invseq,
                              replay_rect, replay_rect_tracked,
@@ -126,8 +126,6 @@ def test_e_rects_track_rtl_minima():
     # replaying a trace on both sides: the j-th inserted rect touches E
     # exactly when the j-th value is a right-to-left minimum, and per-rect
     # joint counts on its bottom side equal per-minimum admissible counts
-    from rectlab.drawing import segments_of
-
     for n in range(1, 8):
         for f in invseq.enumerate_invseq(n):
             if not invseq.avoids_all(f, ("011", "201")):
@@ -239,3 +237,44 @@ def test_tree_counts_match_universe():
     for n in range(1, 7):
         assert count_by_tree("t1", n) == \
             universe.count_class(n, "strong", ("td",))
+
+
+def _ref_left_neighbor_lines(d, x, y_lo, y_hi):
+    if x == 0:
+        return []
+    return sorted(s.axis for s in segments_of(d)
+                  if s.orientation == "h" and s.hi == x
+                  and y_lo < s.axis < y_hi)
+
+
+def _ref_active_td_joints(d):
+    hseg = {s.axis: s for s in segments_of(d) if s.orientation == "h"}
+    joints = []
+    for s in segments_of(d):
+        if s.orientation == "v" and s.hi < d.height:
+            h = hseg[s.hi]
+            if h.lo < s.axis < h.hi and h.hi == d.width:
+                joints.append((s.axis, s.hi))
+    return sorted(joints, reverse=True)
+
+
+def _ref_td_joints_on(d, y, x_left):
+    return sum(1 for s in segments_of(d)
+               if s.orientation == "v" and s.hi == y
+               and x_left < s.axis < d.width)
+
+
+def test_segment_helpers_match_segments_of(ctx):
+    """The helpers read the kernel's spans by line, the references filter
+    the full segment list; every caller asks up to the top side."""
+    for n in range(1, 7):
+        for d in ctx.strong(n):
+            assert gentree._active_td_joints(d) == _ref_active_td_joints(d)
+            for x in range(d.width + 1):
+                for y_lo in range(d.height):
+                    assert (gentree._left_neighbor_lines(d, x, y_lo, d.height)
+                            == _ref_left_neighbor_lines(d, x, y_lo, d.height))
+            for y in range(1, d.height):
+                for x_left in range(d.width):
+                    assert (gentree._td_joints_on(d, y, x_left)
+                            == _ref_td_joints_on(d, y, x_left))

@@ -167,12 +167,24 @@ def test_cli_count_rejects_size_zero(capsys, cls, method):
 def test_cli_oeis_stops_at_the_universe_cap(capsys, tmp_path):
     """--max-n bounds the terms compared; the universe is not built past its
     default cap for them."""
+    (tmp_path / "oeis").mkdir()
+    (tmp_path / "oeis" / "b342141.txt").write_text(
+        "1 1\n2 2\n3 6\n4 24\n5 115\n6 624\n7 3712\n")
+    assert cli.main(["oeis", "--id", "A342141", "--class", "strong:avoid=wm+",
+                     "--max-n", "8", "--offline",
+                     "--cache-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "universe-strong-7.jsonl").exists()
+    assert not (tmp_path / "universe-strong-8.jsonl").exists()
+    assert "checked 7 terms, 0 mismatches" in capsys.readouterr().out
+
+
+def test_cli_oeis_loads_the_b_file_first(capsys, tmp_path):
+    """An offline miss exits before any term of our side is counted."""
     assert cli.main(["oeis", "--id", "A342141", "--class", "strong:avoid=wm+",
                      "--max-n", "8", "--offline",
                      "--cache-dir", str(tmp_path)]) == 3
-    assert (tmp_path / "universe-strong-7.jsonl").exists()
-    assert not (tmp_path / "universe-strong-8.jsonl").exists()
-    assert "offline" in capsys.readouterr().err
+    assert not list(tmp_path.glob("universe-*.jsonl"))
+    assert "offline and not cached" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--which", "gk", "--k", "2"],

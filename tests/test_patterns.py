@@ -1,7 +1,61 @@
 from rectlab import universe
-from rectlab.drawing import reflect, segments_of
-from rectlab.patterns import (avoids_all, contains, is_guillotine,
-                              occurrences)
+from rectlab.drawing import make_drawing, reflect, segments_of
+from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
+                              is_guillotine, occurrences)
+
+
+def _ref_ends_on(segs):
+    """Directed edges (i, kind, j): an endpoint of segs[i] lies in the open
+    interior of segs[j]; kind is the joint formed there."""
+    out = []
+    for i, s in enumerate(segs):
+        for j, t in enumerate(segs):
+            if s.orientation == t.orientation:
+                continue
+            if s.orientation == "v":
+                if t.axis == s.hi and t.lo < s.axis < t.hi:
+                    out.append((i, TD, j))
+                if t.axis == s.lo and t.lo < s.axis < t.hi:
+                    out.append((i, TU, j))
+            else:
+                if t.axis == s.lo and t.lo < s.axis < t.hi:
+                    out.append((i, TR, j))
+                if t.axis == s.hi and t.lo < s.axis < t.hi:
+                    out.append((i, TL, j))
+    return out
+
+
+def _ref_windmills(d):
+    """Reference windmill search: every 4-cycle of the quadratic "ends on"
+    graph over segments_of, split by chirality, in discovery order."""
+    segs = segments_of(d)
+    nxt = {}
+    for i, kind, j in _ref_ends_on(segs):
+        nxt.setdefault(i, []).append((kind, j))
+    cw, ccw = [], []
+    seen = set()
+    for a in range(len(segs)):
+        for k1, b in nxt.get(a, ()):
+            for k2, c in nxt.get(b, ()):
+                for k3, e in nxt.get(c, ()):
+                    for k4, f in nxt.get(e, ()):
+                        if f != a or len({a, b, c, e}) != 4:
+                            continue
+                        key = frozenset((a, b, c, e))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        kinds = dict(zip((a, b, c, e), (k1, k2, k3, k4)))
+                        # chirality: which endpoint the horizontal after the
+                        # TD edge uses (tl = one sense, tr = the other)
+                        cyc = (a, b, c, e)
+                        for idx in range(4):
+                            if kinds[cyc[idx]] == TD:
+                                follow = kinds[cyc[(idx + 1) % 4]]
+                                occ = tuple(segs[x] for x in cyc)
+                                (cw if follow == TL else ccw).append(occ)
+                                break
+    return cw, ccw
 
 
 def test_t_joint_containment(v2, d3, d3p):
@@ -43,3 +97,16 @@ def test_td_avoiders_reach_top():
             reaches = all(s.hi == d.height for s in segments_of(d)
                           if s.orientation == "v")
             assert reaches == (not contains(d, "td"))
+
+
+def test_windmills_match_the_reference(ctx):
+    # a pinwheel in the centre of one of the same chirality: the inner td
+    # vertical comes first, the outer cycle's lowest segment index first
+    nested = make_drawing(5, 5, [
+        (0, 0, 4, 1), (4, 0, 5, 4), (1, 4, 5, 5), (0, 1, 1, 5),
+        (1, 1, 3, 2), (3, 1, 4, 3), (2, 3, 4, 4), (1, 2, 2, 4), (2, 2, 3, 3)])
+    assert len(occurrences(nested, "wm-")) == 2
+    for d in [nested] + [d for n in range(1, 8) for d in ctx.strong(n)]:
+        cw, ccw = _ref_windmills(d)
+        assert occurrences(d, "wm+") == cw, d
+        assert occurrences(d, "wm-") == ccw, d
