@@ -36,7 +36,7 @@ def tau_inv(e) -> RectDrawing:
     e = invseq.check_invseq(e)
     if any(a > b for a, b in zip(e, e[1:])):
         raise ClassError(f"{e} is not non-decreasing")
-    return replay_rect(trace_of_invseq(e, "t1", "i7"), "t1")
+    return tau7_inv(e)
 
 
 def epsilon(e) -> str:
@@ -243,7 +243,7 @@ def tau7(d: RectDrawing):
 
 
 def tau7_inv(e) -> RectDrawing:
-    return replay_rect(trace_of_invseq(tuple(e), "t1", "i7"), "t1")
+    return replay_rect(trace_of_invseq(e, "t1", "i7"), "t1")
 
 
 def tau8(d: RectDrawing):
@@ -326,7 +326,7 @@ def sigma(d: RectDrawing):
 
 
 def sigma_inv(f) -> RectDrawing:
-    return replay_rect(trace_of_invseq(tuple(f), "t2"), "t2")
+    return replay_rect(trace_of_invseq(f, "t2"), "t2")
 
 
 # ---------------------------------------------------------------------------

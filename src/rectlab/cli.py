@@ -131,36 +131,48 @@ def cmd_list(args):
     return 0
 
 
+# name: (forward map, its input kind, inverse map, its input kind)
 _MAPS = {
-    "tau": (bij.tau, bij.tau_inv),
-    "delta": (bij.delta, bij.delta_inv),
-    "beta": (bij.beta, None),
-    "tau6": (bij.tau6, bij.tau6_inv),
-    "tau7": (bij.tau7, bij.tau7_inv),
-    "tau8": (bij.tau8, bij.tau8_inv),
-    "sigma": (bij.sigma, bij.sigma_inv),
-    "comp": (bij.composition_of, bij.rect_of_composition),
-    "nwword": (bij.nw_word, bij.rect_of_nw_word),
-    "phi": (paths.phi, paths.phi_inv),
+    "tau": (bij.tau, "drawing", bij.tau_inv, "sequence"),
+    "delta": (bij.delta, "drawing", bij.delta_inv, "word"),
+    "beta": (bij.beta, "drawing", None, None),
+    "tau6": (bij.tau6, "drawing", bij.tau6_inv, "sequence"),
+    "tau7": (bij.tau7, "drawing", bij.tau7_inv, "sequence"),
+    "tau8": (bij.tau8, "drawing", bij.tau8_inv, "sequence"),
+    "sigma": (bij.sigma, "drawing", bij.sigma_inv, "sequence"),
+    "comp": (bij.composition_of, "drawing", bij.rect_of_composition,
+             "sequence"),
+    "nwword": (bij.nw_word, "drawing", bij.rect_of_nw_word, "word"),
+    "phi": (paths.phi, "word", paths.phi_inv, "drawing"),
 }
 
 
-def cmd_map(args):
-    fwd, inv = _MAPS[args.bijection]
-    fn = fwd if args.direction == "fwd" else inv
-    if fn is None:
-        raise UsageError(f"{args.bijection} has no inverse direction")
+def _map_input(args):
+    """(kind, object) of the map's input: a drawing, a sequence of integers
+    or a letter word."""
     raw = _load_input(args)
     if isinstance(raw, tuple):
-        obj = raw
-    else:
-        text = raw.strip()
-        if text.startswith("{"):
-            obj = from_json(text)
-        elif text.startswith("["):
-            obj = tuple(json.loads(text))
-        else:
-            obj = text  # a letter word
+        return "sequence", raw
+    text = raw.strip()
+    if text.startswith("{"):
+        return "drawing", from_json(text)
+    if text.startswith("["):
+        seq = json.loads(text)
+        if any(type(v) is not int for v in seq):
+            raise UsageError("a sequence must be a JSON list of integers")
+        return "sequence", tuple(seq)
+    return "word", text
+
+
+def cmd_map(args):
+    row = _MAPS[args.bijection]
+    fn, kind = row[:2] if args.direction == "fwd" else row[2:]
+    if fn is None:
+        raise UsageError(f"{args.bijection} has no inverse direction")
+    got, obj = _map_input(args)
+    if got != kind:
+        raise UsageError(f"{args.bijection} --direction {args.direction} "
+                         f"reads a {kind}, not a {got}")
     result = fn(obj)
     if hasattr(result, "to_json"):
         print(result.to_json())

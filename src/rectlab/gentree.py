@@ -17,6 +17,7 @@ right-to-left index of the reworked joint for t2; "***" carries None.
 
 from __future__ import annotations
 
+import json
 import threading
 
 from . import invseq
@@ -27,6 +28,8 @@ from .patterns import contains
 
 STAR, DSTAR, TSTAR = "*", "**", "***"
 
+TREES = ("t1", "t2")
+
 T2_PATTERNS = ("011", "201")
 
 
@@ -36,6 +39,11 @@ class ClassError(ValueError):
 
 # ---------------------------------------------------------------------------
 # rectangulation side: shared helpers
+
+
+def _check_tree(tree):
+    if tree not in TREES:
+        raise ValueError(f"unknown tree {tree!r}")
 
 
 def _require(cond, msg):
@@ -177,7 +185,8 @@ def _t2_star_build(d, j):
                                           d.height + 1)
 
 
-def _t2_tstar_build(d):
+def _t2_tstar_build(d, param):
+    _require(param is None, f"tstar takes no parameter, got {param!r}")
     return d.width + 1, d.height, list(d.rects), (d.width, 0, d.width + 1,
                                                   d.height)
 
@@ -251,53 +260,49 @@ def _td_joints_on(d, y, x_left):
 # public rectangulation-side operations
 
 
+_RECT_BUILDS = {
+    ("t1", STAR): _t1_star_build,
+    ("t1", DSTAR): _t1_dstar_build,
+    ("t2", STAR): _t2_star_build,
+    ("t2", DSTAR): _t2_dstar_build,
+    ("t2", TSTAR): _t2_tstar_build,
+}
+
+
 def _apply_rect_step(d, tree, step):
     rule, param = step
-    if tree == "t1":
-        if rule == STAR:
-            built = _t1_star_build(d, param)
-        elif rule == DSTAR:
-            built = _t1_dstar_build(d, param)
-        else:
-            raise ValueError("t1 has no *** rule")
-    else:
-        if rule == STAR:
-            built = _t2_star_build(d, param)
-        elif rule == DSTAR:
-            built = _t2_dstar_build(d, param)
-        else:
-            built = _t2_tstar_build(d)
-    width, height, boxes, new = built
+    build = _RECT_BUILDS.get((tree, rule))
+    if build is None:
+        raise ValueError(f"{tree} has no {rule} rule")
+    width, height, boxes, new = build(d, param)
     d2, perm = make_drawing_with_perm(width, height, boxes + [new])
     return canonical_drawing(d2), perm
 
 
+def _children_rect(d, tree):
+    """All (step, child) pairs below d: the "*" steps, then the "**" steps,
+    then (t2 only) the "***" step."""
+    k, ell = t1_type_rect(d) if tree == "t1" else t2_type_rect(d)
+    steps = [(STAR, j) for j in range(1, k + 1)]
+    if tree == "t1":
+        steps += [(DSTAR, i) for i in range(ell + 1)]
+    else:
+        steps += [(DSTAR, i) for i in range(1, ell + 1)] + [(TSTAR, None)]
+    return [(step, _apply_rect_step(d, tree, step)[0]) for step in steps]
+
+
 def t1_children_rect(d):
     """All (step, child) pairs below d in tree t1."""
-    _check_t1_rect(d)
-    k, ell = t1_type_rect(d)
-    out = []
-    for j in range(1, k + 1):
-        out.append(((STAR, j), _apply_rect_step(d, "t1", (STAR, j))[0]))
-    for i in range(0, ell + 1):
-        out.append(((DSTAR, i), _apply_rect_step(d, "t1", (DSTAR, i))[0]))
-    return out
+    return _children_rect(d, "t1")
 
 
 def t2_children_rect(d):
-    _check_t2_rect(d)
-    k, ell = t2_type_rect(d)
-    out = []
-    for j in range(1, k + 1):
-        out.append(((STAR, j), _apply_rect_step(d, "t2", (STAR, j))[0]))
-    for i in range(1, ell + 1):
-        out.append(((DSTAR, i), _apply_rect_step(d, "t2", (DSTAR, i))[0]))
-    out.append(((TSTAR, None), _apply_rect_step(d, "t2", (TSTAR, None))[0]))
-    return out
+    return _children_rect(d, "t2")
 
 
 def trace_of_rect(d, tree):
     """Root-to-node step list identifying d in the tree."""
+    _check_tree(tree)
     (_check_t1_rect if tree == "t1" else _check_t2_rect)(d)
     d = canonical_drawing(d)
     steps = []
@@ -308,15 +313,13 @@ def trace_of_rect(d, tree):
 
 
 def replay_rect(trace, tree):
-    d = size1()
-    for step in trace:
-        d, _ = _apply_rect_step(d, tree, step)
-    return d
+    return replay_rect_tracked(trace, tree)[0]
 
 
 def replay_rect_tracked(trace, tree):
     """Replay returning (drawing, order) with order[i] = insertion step
     (1-based) of the rect stored at index i."""
+    _check_tree(tree)
     d = size1()
     labels = [1]
     for t, step in enumerate(trace, 2):
@@ -331,121 +334,99 @@ def replay_rect_tracked(trace, tree):
 
 # ---------------------------------------------------------------------------
 # sequence side
+#
+# A node is a non-empty sequence in the tree's class, and its children append
+# each admissible value u.  The classes are closed under prefixes, so a
+# sequence is checked once, on entry, and its prefixes are nodes.
 
 
-def _check_t1_seq(e, cls):
-    if not invseq.class_check(e, cls):
+def _check_seq(e, tree, cls):
+    """e as a tuple, once it is a non-empty sequence in the tree's class."""
+    _check_tree(tree)
+    e = invseq.check_invseq(e)
+    if not e:
+        raise ClassError("the empty sequence is not a tree node")
+    if tree == "t1" and not invseq.class_check(e, cls):
         raise ClassError(f"{e} is not in class {cls}")
-
-
-def _check_t2_seq(e):
-    if not invseq.avoids_all(e, T2_PATTERNS):
+    if tree == "t2" and not invseq.avoids_all(e, T2_PATTERNS):
         raise ClassError(f"{e} does not avoid {T2_PATTERNS}")
+    return e
+
+
+def _admissible(e, tree, cls):
+    """The values u, ascending, for which e + (u,) is in the class."""
+    return invseq.extension_values(
+        e, invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS)
+
+
+def _type_seq(e, tree, cls):
+    m = max(e)
+    lo, hi = (0, e[-1] if cls == "i7" else m) if tree == "t1" else (1, m)
+    return (len(e) - m,
+            sum(1 for u in _admissible(e, tree, cls) if lo <= u < hi))
+
+
+def _step(e, u, tree, cls, admissible=None):
+    """The step that appends the admissible value u to e.  A t2 "**" step
+    ranks u among e's admissible values, found here unless given."""
+    m = max(e)
+    if u > m:
+        return (STAR, u - m)
+    if tree == "t1":
+        return (DSTAR, _type_seq(e + (u,), tree, cls)[1])
+    if u == 0:
+        return (TSTAR, None)
+    if admissible is None:
+        admissible = _admissible(e, tree, cls)
+    return (DSTAR, sum(1 for v in admissible if 0 < v <= u))
 
 
 def t1_type_invseq(e, cls="i7"):
-    e = tuple(e)
-    _check_t1_seq(e, cls)
-    m = max(e)
-    ext = invseq.extension_values(e, invseq.CLASS_PATTERNS[cls])
-    bound = e[-1] if cls == "i7" else m
-    return (len(e) - m, sum(1 for u in ext if u < bound))
+    return _type_seq(_check_seq(e, "t1", cls), "t1", cls)
 
 
 def t2_type_invseq(e):
-    e = tuple(e)
-    _check_t2_seq(e)
-    m = max(e)
-    ext = invseq.extension_values(e, T2_PATTERNS)
-    return (len(e) - m, sum(1 for u in ext if 0 < u < m))
+    return _type_seq(_check_seq(e, "t2", None), "t2", None)
+
+
+def _children_invseq(e, tree, cls):
+    e = _check_seq(e, tree, cls)
+    ext = _admissible(e, tree, cls)
+    return [(_step(e, u, tree, cls, ext), e + (u,)) for u in ext]
 
 
 def t1_children_invseq(e, cls="i7"):
     """All (step, child) pairs below e: appending each admissible value."""
-    e = tuple(e)
-    _check_t1_seq(e, cls)
-    m = max(e)
-    out = []
-    for u in invseq.extension_values(e, invseq.CLASS_PATTERNS[cls]):
-        child = e + (u,)
-        if u > m:
-            step = (STAR, u - m)
-        else:
-            step = (DSTAR, t1_type_invseq(child, cls)[1])
-        out.append((step, child))
-    return out
+    return _children_invseq(e, "t1", cls)
 
 
 def t2_children_invseq(e):
-    e = tuple(e)
-    _check_t2_seq(e)
-    m = max(e)
-    mids = [u for u in invseq.extension_values(e, T2_PATTERNS) if 0 < u < m]
-    out = []
-    for u in invseq.extension_values(e, T2_PATTERNS):
-        child = e + (u,)
-        if u > m:
-            step = (STAR, u - m)
-        elif u == 0:
-            step = (TSTAR, None)
-        else:
-            step = (DSTAR, mids.index(u) + 1)
-        out.append((step, child))
-    return out
+    return _children_invseq(e, "t2", None)
 
 
 def trace_of_invseq(e, tree, cls="i7"):
-    e = tuple(e)
-    if tree == "t1":
-        _check_t1_seq(e, cls)
-    else:
-        _check_t2_seq(e)
-    steps = []
-    while len(e) > 1:
-        last, prefix = e[-1], e[:-1]
-        m = max(prefix)
-        if last > m:
-            steps.append((STAR, last - m))
-        elif tree == "t1":
-            steps.append((DSTAR, t1_type_invseq(e, cls)[1]))
-        elif last == 0:
-            steps.append((TSTAR, None))
-        else:
-            mids = [u for u in invseq.extension_values(prefix, T2_PATTERNS)
-                    if 0 < u < m]
-            steps.append((DSTAR, mids.index(last) + 1))
-        e = prefix
-    return steps[::-1]
+    e = _check_seq(e, tree, cls)
+    return [_step(e[:j], e[j], tree, cls) for j in range(1, len(e))]
 
 
 def replay_invseq(trace, tree, cls="i7"):
-    e = (0,)
+    """Append, for each step, the one admissible value it names; the search
+    runs from the largest value down, so a "*" step types no child."""
+    e = _check_seq((0,), tree, cls)
     for rule, param in trace:
-        m = max(e)
-        if rule == STAR:
-            e = e + (m + param,)
-        elif rule == TSTAR:
-            if tree != "t2":
-                raise ValueError("t1 has no *** rule")
-            e = e + (0,)
-        elif tree == "t1":
-            matches = [child for step, child in t1_children_invseq(e, cls)
-                       if step == (DSTAR, param)]
-            if len(matches) != 1:
-                raise ValueError(f"no unique ** child with parameter {param}")
-            e = matches[0]
-        else:
-            mids = [u for u in invseq.extension_values(e, T2_PATTERNS)
-                    if 0 < u < m]
-            e = e + (mids[param - 1],)
+        ext = _admissible(e, tree, cls)
+        u = next((u for u in reversed(ext)
+                  if _step(e, u, tree, cls, ext) == (rule, param)), None)
+        if u is None:
+            raise ValueError(f"{tree} has no step {(rule, param)} "
+                             f"below {e}")
+        e += (u,)
     return e
 
 
 # ---------------------------------------------------------------------------
 # counting
 
-
-TREES = ("t1", "t2")
 
 # Per tree, the level DP so far: [counts of levels 1..m, level m's type
 # dict].  Levels are a pure function of the tree, so the record is shared by
@@ -502,8 +483,7 @@ def _next_level(tree, level):
 
 def _levels(tree, n):
     """The shared list of level counts of the tree, extended to reach n."""
-    if tree not in TREES:
-        raise ValueError(f"unknown tree {tree!r}")
+    _check_tree(tree)
     if n < 1:
         raise ValueError("level must be >= 1")
     with _LEVELS_LOCK:
@@ -530,15 +510,23 @@ def count_by_tree(tree, n):
 
 
 def trace_to_json(trace):
-    import json
     return json.dumps([[r] if p is None else [r, p] for r, p in trace])
 
 
 def trace_from_json(text):
-    import json
+    """The trace written by `trace_to_json`: a list of [rule, int] steps for
+    "*" and "**", and [rule] or [rule, null] for "***"."""
+    items = json.loads(text)
+    if not isinstance(items, list):
+        raise ValueError("a trace is a JSON list of steps")
     out = []
-    for item in json.loads(text):
-        rule = item[0]
-        param = item[1] if len(item) > 1 else None
-        out.append((rule, param))
+    for item in items:
+        if isinstance(item, list) and len(item) in (1, 2):
+            rule, param = item[0], (item[1] if len(item) == 2 else None)
+            if (param is None if rule == TSTAR else
+                    rule in (STAR, DSTAR) and type(param) is int):
+                out.append((rule, param))
+                continue
+        raise ValueError(f"bad trace step {item!r}: expected [\"*\", int], "
+                         f"[\"**\", int] or [\"***\"]")
     return out

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectlab import gentree, invseq, universe
 from rectlab.drawing import segments_of, strong_key
@@ -278,3 +281,237 @@ def test_segment_helpers_match_segments_of(ctx):
                 for x_left in range(d.width):
                     assert (gentree._td_joints_on(d, y, x_left)
                             == _ref_td_joints_on(d, y, x_left))
+
+
+# The step rule as it stood before it was written once per tree: each
+# function below re-derives the steps on its own.  The differential tests
+# hold the derived functions to these copies.
+
+
+def _ref_t1_type_invseq(e, cls="i7"):
+    e = tuple(e)
+    assert invseq.class_check(e, cls)
+    m = max(e)
+    ext = invseq.extension_values(e, invseq.CLASS_PATTERNS[cls])
+    bound = e[-1] if cls == "i7" else m
+    return (len(e) - m, sum(1 for u in ext if u < bound))
+
+
+def _ref_t2_type_invseq(e):
+    e = tuple(e)
+    assert invseq.avoids_all(e, ("011", "201"))
+    m = max(e)
+    ext = invseq.extension_values(e, ("011", "201"))
+    return (len(e) - m, sum(1 for u in ext if 0 < u < m))
+
+
+def _ref_t1_children_invseq(e, cls="i7"):
+    e = tuple(e)
+    m = max(e)
+    out = []
+    for u in invseq.extension_values(e, invseq.CLASS_PATTERNS[cls]):
+        child = e + (u,)
+        if u > m:
+            step = ("*", u - m)
+        else:
+            step = ("**", _ref_t1_type_invseq(child, cls)[1])
+        out.append((step, child))
+    return out
+
+
+def _ref_t2_children_invseq(e):
+    e = tuple(e)
+    m = max(e)
+    ext = invseq.extension_values(e, ("011", "201"))
+    mids = [u for u in ext if 0 < u < m]
+    out = []
+    for u in ext:
+        if u > m:
+            step = ("*", u - m)
+        elif u == 0:
+            step = ("***", None)
+        else:
+            step = ("**", mids.index(u) + 1)
+        out.append((step, e + (u,)))
+    return out
+
+
+def _ref_trace_of_invseq(e, tree, cls="i7"):
+    e = tuple(e)
+    steps = []
+    while len(e) > 1:
+        last, prefix = e[-1], e[:-1]
+        m = max(prefix)
+        if last > m:
+            steps.append(("*", last - m))
+        elif tree == "t1":
+            steps.append(("**", _ref_t1_type_invseq(e, cls)[1]))
+        elif last == 0:
+            steps.append(("***", None))
+        else:
+            mids = [u for u in invseq.extension_values(prefix, ("011", "201"))
+                    if 0 < u < m]
+            steps.append(("**", mids.index(last) + 1))
+        e = prefix
+    return steps[::-1]
+
+
+def _ref_replay_invseq(trace, tree, cls="i7"):
+    e = (0,)
+    for rule, param in trace:
+        m = max(e)
+        if rule == "*":
+            e = e + (m + param,)
+        elif rule == "***":
+            e = e + (0,)
+        elif tree == "t1":
+            [e] = [c for s, c in _ref_t1_children_invseq(e, cls)
+                   if s == ("**", param)]
+        else:
+            mids = [u for u in invseq.extension_values(e, ("011", "201"))
+                    if 0 < u < m]
+            e = e + (mids[param - 1],)
+    return e
+
+
+def _ref_children_rect(d, tree):
+    if tree == "t1":
+        k, ell = t1_type_rect(d)
+        steps = ([("*", j) for j in range(1, k + 1)]
+                 + [("**", i) for i in range(ell + 1)])
+    else:
+        k, ell = t2_type_rect(d)
+        steps = ([("*", j) for j in range(1, k + 1)]
+                 + [("**", i) for i in range(1, ell + 1)] + [("***", None)])
+    return [(s, gentree._apply_rect_step(d, tree, s)[0]) for s in steps]
+
+
+def _ref_trace_of_rect(d, tree):
+    d = gentree.canonical_drawing(d)
+    steps = []
+    while d.size > 1:
+        d, step = (gentree._t1_delete if tree == "t1"
+                   else gentree._t2_delete)(d)
+        steps.append(step)
+    return steps[::-1]
+
+
+def _ref_replay_rect(trace, tree):
+    d = gentree.size1()
+    for step in trace:
+        d, _ = gentree._apply_rect_step(d, tree, step)
+    return d
+
+
+def _sequence_members(max_n):
+    """(tree, cls, e) for every member with n <= max_n of i6, i7, i8 (tree
+    t1) and of I(011,201) (tree t2)."""
+    for n in range(1, max_n + 1):
+        for e in invseq.enumerate_invseq(n):
+            for cls in ("i6", "i7", "i8"):
+                if invseq.class_check(e, cls):
+                    yield "t1", cls, e
+            if invseq.avoids_all(e, ("011", "201")):
+                yield "t2", "i7", e
+
+
+def test_sequence_side_matches_the_reference_rules():
+    seen = 0
+    for tree, cls, e in _sequence_members(6):
+        if tree == "t1":
+            assert t1_type_invseq(e, cls) == _ref_t1_type_invseq(e, cls)
+            assert (t1_children_invseq(e, cls)
+                    == _ref_t1_children_invseq(e, cls))
+        else:
+            assert t2_type_invseq(e) == _ref_t2_type_invseq(e)
+            assert t2_children_invseq(e) == _ref_t2_children_invseq(e)
+        tr = trace_of_invseq(e, tree, cls)
+        assert tr == _ref_trace_of_invseq(e, tree, cls), (tree, cls, e)
+        assert (replay_invseq(tr, tree, cls)
+                == _ref_replay_invseq(tr, tree, cls) == e)
+        seen += 1
+    assert seen == 4 * sum(count_by_tree("t1", n) for n in range(1, 7))
+
+
+@pytest.mark.parametrize("tree,pattern", [("t1", "td"), ("t2", "tu")])
+def test_rect_side_matches_the_reference_rules(tree, pattern):
+    children = t1_children_rect if tree == "t1" else t2_children_rect
+    for n in range(1, 6):
+        for d in universe.enumerate_class(n, "strong", (pattern,)):
+            got, want = children(d), _ref_children_rect(d, tree)
+            assert [s for s, _ in got] == [s for s, _ in want]
+            assert [c.to_json() for _, c in got] == \
+                [c.to_json() for _, c in want]
+            tr = trace_of_rect(d, tree)
+            assert tr == _ref_trace_of_rect(d, tree)
+            assert replay_rect(tr, tree).to_json() == \
+                _ref_replay_rect(tr, tree).to_json()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["*", "**", "***"]) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_trace_from_json_round_trips_or_refuses(value):
+    try:
+        tr = trace_from_json(json.dumps(value))
+    except ValueError:
+        return
+    for rule, param in tr:
+        assert (param is None if rule == "***"
+                else rule in ("*", "**") and type(param) is int)
+    assert trace_from_json(trace_to_json(tr)) == tr
+
+
+@pytest.mark.parametrize("text", [
+    "[[]]", '[["*"]]', '[["*", "x"]]', '{"a": 1}', '[["?", 1]]',
+    '[["***", 5]]', '[["*", true]]', '[["**", 1.0]]', '[["*", 1, 2]]',
+    '"*"', "[1]", "nope"])
+def test_trace_from_json_refuses_malformed_steps(text):
+    with pytest.raises(ValueError):
+        trace_from_json(text)
+
+
+def test_trace_from_json_reads_null_tstar_parameter():
+    assert trace_from_json('[["***", null], ["*", 2]]') == \
+        [("***", None), ("*", 2)]
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+@pytest.mark.parametrize("step", [("*", 99), ("*", 0), ("**", -1),
+                                  ("**", 5), ("?", 1), ("***", 5)])
+def test_replays_refuse_a_step_they_cannot_take(tree, step):
+    with pytest.raises(ValueError):
+        replay_invseq([step], tree)
+    with pytest.raises(ValueError):
+        replay_rect([step], tree)
+
+
+def test_replays_keep_the_steps_they_can_take():
+    assert replay_invseq([], "t2") == (0,)
+    assert replay_rect([], "t1").size == 1
+    with pytest.raises(ValueError, match="t1 has no \\*\\*\\* rule"):
+        replay_rect([("***", None)], "t1")
+    with pytest.raises(ValueError):
+        replay_invseq([("***", None)], "t1")
+
+
+def test_unknown_tree_and_empty_sequence_are_refused(one):
+    for call in (lambda: trace_of_rect(one, "t3"),
+                 lambda: replay_rect([], "t3"),
+                 lambda: replay_rect_tracked([], "bogus"),
+                 lambda: trace_of_invseq((0,), "t3"),
+                 lambda: replay_invseq([], "t3")):
+        with pytest.raises(ValueError, match="unknown tree"):
+            call()
+    for tree in ("t1", "t2"):
+        with pytest.raises(ClassError):
+            trace_of_invseq((), tree)
+    with pytest.raises(ValueError):
+        trace_of_invseq((0, 2), "t1")  # not an inversion sequence

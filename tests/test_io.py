@@ -125,6 +125,74 @@ def test_cli_trace_round_trip(capsys, tmp_path, d3):
     assert json.loads(capsys.readouterr().out) == [0, 0, 2]
 
 
+_MALFORMED_TRACES = ["[[]]", '[["*"]]', '[["*", "x"]]', '{"a": 1}',
+                     '[["*", 99]]', '[["?", 1]]', '[["***", 5]]']
+
+
+def _assert_refused(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("side", ["rect", "invseq"])
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+@pytest.mark.parametrize("text", _MALFORMED_TRACES)
+def test_cli_replay_refuses_malformed_traces(capsys, tmp_path, text, tree,
+                                             side):
+    f = tmp_path / "trace.json"
+    f.write_text(text)
+    _assert_refused(capsys, ["trace", "--tree", tree, "--input", str(f),
+                             "--replay", "--side", side])
+
+
+@pytest.mark.parametrize("side,tree,want", [
+    ("rect", "t2", {"width": 2, "height": 2,
+                    "rects": [[0, 1, 2, 2], [0, 0, 1, 1], [1, 0, 2, 1]]}),
+    ("invseq", "t2", [0, 0, 2]), ("invseq", "t1", [0])])
+def test_cli_replay_keeps_valid_traces(capsys, tmp_path, side, tree, want):
+    f = tmp_path / "trace.json"
+    f.write_text("[]" if tree == "t1" else '[["***"], ["*", 2]]')
+    assert cli.main(["trace", "--tree", tree, "--input", str(f),
+                     "--replay", "--side", side]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--bijection", "tau", "--values", "0,1"], None),
+    (["--bijection", "sigma", "--word", "UUDD"], None),
+    (["--bijection", "phi", "--direction", "inv", "--word", "UUDD"], None),
+    (["--bijection", "phi", "--direction", "inv", "--values", "0,1"], None),
+    (["--bijection", "phi"], "d3"),
+    (["--bijection", "tau7", "--direction", "inv"], "d3"),
+    (["--bijection", "nwword", "--direction", "inv", "--values", "0,1"],
+     None),
+    (["--bijection", "comp", "--direction", "inv"], "[1.5, 2]"),
+    (["--bijection", "tau7", "--direction", "inv"], '[0, "a"]'),
+    (["--bijection", "tau7", "--direction", "inv"], "[0, 1.0]"),
+    (["--bijection", "tau7", "--direction", "inv"], "[0, true]"),
+    (["--bijection", "tau", "--direction", "inv"], "[]"),
+    (["--bijection", "sigma", "--direction", "inv"], "[]"),
+])
+def test_cli_map_refuses_input_of_the_wrong_kind(capsys, tmp_path, d3, argv,
+                                                 text):
+    if text is not None:
+        f = tmp_path / "in.json"
+        f.write_text(d3.to_json() if text == "d3" else text)
+        argv = argv + ["--input", str(f)]
+    _assert_refused(capsys, ["map", *argv])
+
+
+def test_inverse_maps_refuse_the_empty_sequence():
+    from rectlab import bijections
+    for inverse in (bijections.tau_inv, bijections.sigma_inv,
+                    bijections.tau7_inv):
+        with pytest.raises(ValueError):
+            inverse(())
+
+
 def test_cli_series(capsys):
     assert cli.main(["series", "--which", "gk", "--k", "4", "--order", "6"]) == 0
     assert json.loads(capsys.readouterr().out) == [0, 0, 0, 0, 1, 4, 13]
