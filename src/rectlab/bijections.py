@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import invseq
 from .drawing import (RectDrawing, canonical_drawing, l_labels, make_drawing,
-                      order_labels, size1)
+                      order_labels)
 from .gentree import (ClassError, _check_t1_rect, _check_t2_rect, replay_rect,
                       trace_of_invseq)
 from .patterns import contains
@@ -148,11 +148,18 @@ def tree_to_seq(t):
 
 
 def tree_images(n):
-    """[tree_to_seq(t) for t in all_trees(n)], built from the images of the
-    smaller sizes: for each split, the right-hand images are shifted once,
-    and each image is one concatenation of a root-and-left head with a
-    shifted tail."""
+    """[tree_to_seq(t) for t in all_trees(n)]."""
+    return list(tree_image_levels(n))[n]
+
+
+def tree_image_levels(n):
+    """Yield tree_images(m) for m = 0..n in turn, each built from the images
+    of the smaller sizes: for each split, the right-hand images are shifted
+    once, and each image is one concatenation of a root-and-left head with a
+    shifted tail.  The later levels are built from the lists yielded, so a
+    caller must not reorder them."""
     levels = [[()]]
+    yield levels[0]
     for m in range(1, n + 1):
         level = []
         for i in range(m):  # i nodes on the left
@@ -161,7 +168,7 @@ def tree_images(n):
                 head = (0,) + s
                 level += [head + tail for tail in tails]
         levels.append(level)
-    return levels[n]
+        yield level
 
 
 def seq_to_tree(e):
@@ -184,33 +191,37 @@ def rect_of_tree(t) -> RectDrawing:
     right subtree fills a full-height block on the right."""
     if t is None:
         raise ValueError("empty tree has no drawing")
+    return make_drawing(*_tree_boxes(t))
+
+
+def _tree_boxes(t):
+    """(width, height, boxes) of the drawing of the non-empty tree t; the
+    subtrees' drawings are never built."""
     left, right = t
     if left is None and right is None:
-        return size1()
+        return 1, 1, [(0, 0, 1, 1)]
     if right is None:
-        sub = rect_of_tree(left)
-        boxes = [(0, 0, sub.width, 1)]
-        boxes += [(x0, y0 + 1, x1, y1 + 1) for (x0, y0, x1, y1) in sub.rects]
-        return make_drawing(sub.width, sub.height + 1, boxes)
+        w, h, sub = _tree_boxes(left)
+        return w, h + 1, [(0, 0, w, 1)] + [(x0, y0 + 1, x1, y1 + 1)
+                                           for (x0, y0, x1, y1) in sub]
     if left is None:
-        sub = rect_of_tree(right)
-        boxes = [(0, 0, 1, sub.height)]
-        boxes += [(x0 + 1, y0, x1 + 1, y1) for (x0, y0, x1, y1) in sub.rects]
-        return make_drawing(sub.width + 1, sub.height, boxes)
-    da, db = rect_of_tree(left), rect_of_tree(right)
-    W, H = da.width + db.width, da.height + db.height
+        w, h, sub = _tree_boxes(right)
+        return w + 1, h, [(0, 0, 1, h)] + [(x0 + 1, y0, x1 + 1, y1)
+                                           for (x0, y0, x1, y1) in sub]
+    wa, ha, da = _tree_boxes(left)
+    wb, hb, db = _tree_boxes(right)
+    H = ha + hb
 
     def ya(y):
-        return H if y == da.height else y + 1
+        return H if y == ha else y + 1
 
     def yb(y):
-        return 0 if y == 0 else y + da.height
+        return 0 if y == 0 else y + ha
 
-    boxes = [(0, 0, da.width, 1)]
-    boxes += [(x0, ya(y0), x1, ya(y1)) for (x0, y0, x1, y1) in da.rects]
-    boxes += [(x0 + da.width, yb(y0), x1 + da.width, yb(y1))
-              for (x0, y0, x1, y1) in db.rects]
-    return make_drawing(W, H, boxes)
+    boxes = [(0, 0, wa, 1)]
+    boxes += [(x0, ya(y0), x1, ya(y1)) for (x0, y0, x1, y1) in da]
+    boxes += [(x0 + wa, yb(y0), x1 + wa, yb(y1)) for (x0, y0, x1, y1) in db]
+    return wa + wb, H, boxes
 
 
 def tree_of(d: RectDrawing):

@@ -77,8 +77,11 @@ class InvalidDrawing(ValueError):
 # relations_of, segments_of, joints_of, heap_order, order_labels, l_labels
 # and canonical_drawing read the kernel, and outside the validator every
 # segment endpoint is read from it: patterns finds windmills from joints_of,
-# gentree reads _line_spans by line index.  A drawing built any other way
-# gets its kernel on first use, after the same checks (_kernel).
+# gentree reads the spans by line index.  A drawing built any other way
+# gets its kernel on first use, after the same checks (_kernel).  The
+# generating trees grow and shrink bare box lists between the drawings they
+# return: they take each line's span from _line_sides, as _structure does,
+# and redraw with _rename_lines, as canonical_drawing does.
 
 
 def _report(out, msg):
@@ -123,6 +126,21 @@ def _cover_violation(width, height, boxes):
             f"({area} cells covered of {width * height}{more})")
 
 
+def _line_sides(width, height, boxes):
+    """(vlines, hlines): vlines[x] lists the (y0, y1) spans of the box sides
+    on line x, for x = 0..W, and hlines[y] the (x0, x1) spans on line y.
+    _merge_runs of an interior line gives its maximal runs, one iff the
+    line hosts one segment."""
+    vlines = [[] for _ in range(width + 1)]
+    hlines = [[] for _ in range(height + 1)]
+    for x0, y0, x1, y1 in boxes:
+        vlines[x0].append((y0, y1))
+        vlines[x1].append((y0, y1))
+        hlines[y0].append((x0, x1))
+        hlines[y1].append((x0, x1))
+    return vlines, hlines
+
+
 def _structure(width, height, boxes, out=None):
     """The interior segments (orientation, axis, lo, hi), verticals by x then
     horizontals by y, after the structural checks.
@@ -158,13 +176,7 @@ def _structure(width, height, boxes, out=None):
         if bad:
             out.append(bad)
             return []
-    vlines = [[] for _ in range(width + 1)]
-    hlines = [[] for _ in range(height + 1)]
-    for x0, y0, x1, y1 in boxes:
-        vlines[x0].append((y0, y1))
-        vlines[x1].append((y0, y1))
-        hlines[y0].append((x0, x1))
-        hlines[y1].append((x0, x1))
+    vlines, hlines = _line_sides(width, height, boxes)
     segs = []
     for orient, name, lines in (("v", "x", vlines), ("h", "y", hlines)):
         for axis in range(1, len(lines) - 1):
@@ -294,11 +306,17 @@ def _kernel(d):
     return d._kernel
 
 
+def _split_spans(width, spans):
+    """([(lo, hi) per vertical line x = 1..W-1], [the same per y]) from
+    spans laid out as in the kernel."""
+    it = iter(spans)
+    pairs = list(zip(it, it))
+    return pairs[:width - 1], pairs[width - 1:]
+
+
 def _line_spans(d):
     """([(lo, hi) per vertical line x = 1..W-1], [the same per y])."""
-    it = iter(_kernel(d)[1])
-    pairs = list(zip(it, it))
-    return pairs[:d.width - 1], pairs[d.width - 1:]
+    return _split_spans(d.width, _kernel(d)[1])
 
 
 def validate(d: RectDrawing) -> list[str]:
@@ -482,28 +500,38 @@ def _extension_ranks(runs):
     return ranks
 
 
-def canonical_drawing(d: RectDrawing) -> RectDrawing:
-    """Redraw so line positions equal the ranks of the heap-order extensions
-    (horizontals bottom-to-top by the left-most extension, verticals
-    left-to-right by the lowest-first extension).  Strong key is unchanged."""
-    rel, _ = _kernel(d)
-    v, h = _line_spans(d)
+def _rename_lines(width, rects, spans):
+    """(boxes, spans) of the rects with each line moved to its rank in the
+    heap-order extensions (horizontals bottom-to-top by the left-most
+    extension, verticals left-to-right by the lowest-first extension), for
+    rects of a valid drawing whose segment spans are laid out as in the
+    kernel; the given tuples themselves when no line moves."""
+    v, h = _split_spans(width, spans)
     xr, yr = _extension_ranks(v), _extension_ranks(h)
     boxes = tuple([(xr[x0], yr[y0], xr[x1], yr[y1])
-                   for x0, y0, x1, y1 in d.rects])
-    if boxes == d.rects:
+                   for x0, y0, x1, y1 in rects])
+    if boxes == rects:
+        return rects, spans
+    out = [0] * len(spans)
+    for x, (lo, hi) in enumerate(v, 1):
+        k = 2 * (xr[x] - 1)
+        out[k], out[k + 1] = yr[lo], yr[hi]
+    for y, (lo, hi) in enumerate(h, 1):
+        k = 2 * (len(v) + yr[y] - 1)
+        out[k], out[k + 1] = xr[lo], xr[hi]
+    return boxes, tuple(out)
+
+
+def canonical_drawing(d: RectDrawing) -> RectDrawing:
+    """Redraw so line positions equal the ranks of the heap-order extensions
+    (see _rename_lines).  Strong key is unchanged."""
+    rel, spans = _kernel(d)
+    boxes, spans = _rename_lines(d.width, d.rects, spans)
+    if boxes is d.rects:
         return d
     # Every segment keeps its neighbours on renamed lines, so the relations,
     # and with them the NW-SE order of the rects, stay as they are.
-    spans = [0] * (2 * (len(v) + len(h)))
-    for x, (lo, hi) in enumerate(v, 1):
-        k = 2 * (xr[x] - 1)
-        spans[k], spans[k + 1] = yr[lo], yr[hi]
-    for y, (lo, hi) in enumerate(h, 1):
-        k = 2 * (len(v) + yr[y] - 1)
-        spans[k], spans[k + 1] = xr[lo], xr[hi]
-    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel,
-                        tuple(spans))
+    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel, spans)
 
 
 def contacts_of(d: RectDrawing):

@@ -13,17 +13,23 @@ the step.  Parameters are canonical: "*" carries the number of pushed
 boundary rectangles (equally, the appended value minus the old maximum);
 "**" carries the child's own second type coordinate for t1 and the
 right-to-left index of the reworked joint for t2; "***" carries None.
+
+On drawings, a replay and a trace each analyse one drawing: the steps in
+between grow or shrink bare box lists, and only the drawing a replay returns
+(or the one a trace reads) goes through the drawing kernel.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from typing import NamedTuple
 
 from . import invseq
-from .drawing import (InvalidDrawing, RectDrawing, _line_spans,
+from .drawing import (InvalidDrawing, RectDrawing, _kernel, _line_sides,
+                      _merge_runs, _rename_lines, _split_spans,
                       canonical_drawing, make_drawing_with_perm,
-                      ne_rect_index, size1)
+                      ne_rect_index)
 from .patterns import contains
 
 STAR, DSTAR, TSTAR = "*", "**", "***"
@@ -39,6 +45,12 @@ class ClassError(ValueError):
 
 # ---------------------------------------------------------------------------
 # rectangulation side: shared helpers
+#
+# Between the drawings they return, the tree operations carry bare boxes
+# (_Boxes): the builders and deletes read only the E-rects, the N-rects, the
+# NE rect and the segment span on each line.  After every step the boxes are
+# redrawn as canonical_drawing would redraw their drawing, without deriving
+# its relations; make_drawing checks the one drawing that is returned.
 
 
 def _check_tree(tree):
@@ -51,6 +63,47 @@ def _require(cond, msg):
         raise InvalidDrawing(msg)
 
 
+def _check_param(rule, param):
+    """Refuse a "*" or "**" parameter that is not an int (bool is a
+    subclass of int, and 1.0 and True compare equal to 1)."""
+    if rule != TSTAR and type(param) is not int:
+        raise ValueError(f"{rule} parameter must be an int, got {param!r}")
+
+
+class _Boxes(NamedTuple):
+    """The rects of a drawing, in any order, with its box and the spans of
+    its segments laid out as in the drawing kernel."""
+    width: int
+    height: int
+    rects: tuple
+    spans: tuple
+
+
+_ROOT = _Boxes(1, 1, ((0, 0, 1, 1),), ())
+
+
+def _view(d):
+    """The boxes of the drawing d."""
+    return _Boxes(d.width, d.height, d.rects, _kernel(d)[1])
+
+
+def _redrawn(width, height, boxes):
+    """The boxes, in their order, moved onto the lines canonical_drawing
+    would give their drawing."""
+    boxes = tuple(boxes)
+    runs = [_merge_runs(line) for lines in _line_sides(width, height, boxes)
+            for line in lines[1:-1]]
+    _require(all(len(r) == 1 for r in runs),
+             "a line hosts more than one segment")
+    spans = tuple(v for r in runs for v in r[0])
+    return _Boxes(width, height, *_rename_lines(width, boxes, spans))
+
+
+def _lines(g):
+    """([(lo, hi) per vertical line x = 1..W-1], [the same per y])."""
+    return _split_spans(g.width, g.spans)
+
+
 def _e_rects_top_down(d):
     return sorted((i for i, b in enumerate(d.rects) if b[2] == d.width),
                   key=lambda i: -d.rects[i][3])
@@ -61,19 +114,19 @@ def _n_rects_left_right(d):
                   key=lambda i: d.rects[i][0])
 
 
-def _left_neighbor_lines(d, x, y_lo, y_hi):
+def _left_neighbor_lines(g, x, y_lo, y_hi):
     """Lines of horizontal segments whose right endpoint sits on the open
     part of the vertical line x between y_lo and y_hi."""
-    h = _line_spans(d)[1]
+    h = _lines(g)[1]
     return [y for y in range(y_lo + 1, y_hi) if h[y - 1][1] == x]
 
 
-def _active_td_joints(d):
+def _active_td_joints(g):
     """Active top-joint positions (vertical top ends inside a horizontal
     that reaches the right side), ordered right to left."""
-    v, h = _line_spans(d)
+    v, h = _lines(g)
     return [(x, hi) for x, (_, hi) in enumerate(v, 1)
-            if hi < d.height and h[hi - 1][1] == d.width][::-1]
+            if hi < g.height and h[hi - 1][1] == g.width][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +142,7 @@ def t1_type_rect(d: RectDrawing):
     _check_t1_rect(d)
     k = len(_e_rects_top_down(d))
     ne = d.rects[ne_rect_index(d)]
-    ell = len(_left_neighbor_lines(d, ne[0], ne[1], d.height))
+    ell = len(_left_neighbor_lines(_view(d), ne[0], ne[1], d.height))
     return (k, ell)
 
 
@@ -123,10 +176,10 @@ def _t1_dstar_build(d, i):
 
 
 def _t1_delete(d):
-    """Remove the NE rectangle; returns (parent, step)."""
+    """Remove the NE rectangle; returns (the parent's boxes, step)."""
     ne = ne_rect_index(d)
     x0, y0, _, _ = d.rects[ne]
-    v, h = _line_spans(d)
+    v, h = _lines(d)
     star = y0 == 0 or (x0 > 0 and v[x0 - 1][0] == y0)
     if star:
         lefts = [i for i, b in enumerate(d.rects) if b[2] == x0]
@@ -140,7 +193,7 @@ def _t1_delete(d):
             if c == x0:
                 c = d.width
             boxes.append((a - (a > x0), b, c - (c > x0), dd))
-        parent = make_drawing_with_perm(d.width - 1, d.height, boxes)[0]
+        parent = _redrawn(d.width - 1, d.height, boxes)
         step = (STAR, j)
     else:
         below = [i for i, b in enumerate(d.rects) if b[3] == y0]
@@ -156,9 +209,9 @@ def _t1_delete(d):
             if i == below[0]:
                 a, b, c, dd = x0, yb, d.width, d.height
             boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-        parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+        parent = _redrawn(d.width, d.height - 1, boxes)
         step = (DSTAR, i_param)
-    return canonical_drawing(parent), step
+    return parent, step
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +225,7 @@ def _check_t2_rect(d):
 
 def t2_type_rect(d: RectDrawing):
     _check_t2_rect(d)
-    return (len(_n_rects_left_right(d)), len(_active_td_joints(d)))
+    return (len(_n_rects_left_right(d)), len(_active_td_joints(_view(d))))
 
 
 def _t2_star_build(d, j):
@@ -212,12 +265,13 @@ def _t2_dstar_build(d, i):
 
 
 def _t2_delete(d):
+    """Remove the NE rectangle; returns (the parent's boxes, step)."""
     ne = ne_rect_index(d)
     x0, y0, _, _ = d.rects[ne]
     if y0 == 0:
         _require(x0 == d.width - 1, "NE column wider than one cell")
         boxes = [b for i, b in enumerate(d.rects) if i != ne]
-        parent = make_drawing_with_perm(x0, d.height, boxes)[0]
+        parent = _redrawn(x0, d.height, boxes)
         step = (TSTAR, None)
     else:
         lefts = _left_neighbor_lines(d, x0, y0, d.height)
@@ -229,7 +283,7 @@ def _t2_delete(d):
                 if dd == y0 and a >= x0:
                     dd = d.height
                 boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-            parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+            parent = _redrawn(d.width, d.height - 1, boxes)
             step = (STAR, 1 + _td_joints_on(d, y0, x0))
         else:
             y_h2 = lefts[0]
@@ -244,15 +298,15 @@ def _t2_delete(d):
                     boxes.append((a, b, c, y_h2 - 1))
                 else:
                     boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-            parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+            parent = _redrawn(d.width, d.height - 1, boxes)
             step = (DSTAR, i_param)
-    return canonical_drawing(parent), step
+    return parent, step
 
 
 def _td_joints_on(d, y, x_left):
     """Number of vertical segments whose top endpoint lies strictly inside
     the horizontal segment at line y (which spans [x_left, W])."""
-    v = _line_spans(d)[0]
+    v = _lines(d)[0]
     return sum(1 for x in range(x_left + 1, d.width) if v[x - 1][1] == y)
 
 
@@ -269,14 +323,21 @@ _RECT_BUILDS = {
 }
 
 
-def _apply_rect_step(d, tree, step):
+def _grow(g, tree, step):
+    """The boxes of the child of g that the step names."""
     rule, param = step
     build = _RECT_BUILDS.get((tree, rule))
     if build is None:
         raise ValueError(f"{tree} has no {rule} rule")
-    width, height, boxes, new = build(d, param)
-    d2, perm = make_drawing_with_perm(width, height, boxes + [new])
-    return canonical_drawing(d2), perm
+    _check_param(rule, param)
+    width, height, boxes, new = build(g, param)
+    return _redrawn(width, height, boxes + [new])
+
+
+def _drawing(g):
+    """(drawing, perm) of the boxes, perm[i] being the index of g.rects[i]
+    in the drawing; boxes redrawn by _redrawn give a canonical drawing."""
+    return make_drawing_with_perm(g.width, g.height, g.rects)
 
 
 def _children_rect(d, tree):
@@ -288,7 +349,8 @@ def _children_rect(d, tree):
         steps += [(DSTAR, i) for i in range(ell + 1)]
     else:
         steps += [(DSTAR, i) for i in range(1, ell + 1)] + [(TSTAR, None)]
-    return [(step, _apply_rect_step(d, tree, step)[0]) for step in steps]
+    g = _view(d)
+    return [(step, _drawing(_grow(g, tree, step))[0]) for step in steps]
 
 
 def t1_children_rect(d):
@@ -301,13 +363,15 @@ def t2_children_rect(d):
 
 
 def trace_of_rect(d, tree):
-    """Root-to-node step list identifying d in the tree."""
+    """Root-to-node step list identifying d in the tree.  Only d itself is
+    analysed: the deletes shrink its boxes."""
     _check_tree(tree)
     (_check_t1_rect if tree == "t1" else _check_t2_rect)(d)
-    d = canonical_drawing(d)
+    g = _view(canonical_drawing(d))
+    delete = _t1_delete if tree == "t1" else _t2_delete
     steps = []
-    while d.size > 1:
-        d, step = (_t1_delete if tree == "t1" else _t2_delete)(d)
+    while len(g.rects) > 1:
+        g, step = delete(g)
         steps.append(step)
     return steps[::-1]
 
@@ -318,18 +382,17 @@ def replay_rect(trace, tree):
 
 def replay_rect_tracked(trace, tree):
     """Replay returning (drawing, order) with order[i] = insertion step
-    (1-based) of the rect stored at index i."""
+    (1-based) of the rect stored at index i.  The boxes stay in insertion
+    order through the steps, and only the last drawing is built."""
     _check_tree(tree)
-    d = size1()
-    labels = [1]
-    for t, step in enumerate(trace, 2):
-        d, perm = _apply_rect_step(d, tree, step)
-        relabeled = [None] * d.size
-        for old, new in enumerate(perm):
-            relabeled[new] = labels[old] if old < len(labels) else t
-        labels = relabeled
-        labels[perm[-1]] = t
-    return d, labels
+    g = _ROOT
+    for step in trace:
+        g = _grow(g, tree, step)
+    d, perm = _drawing(g)
+    order = [0] * len(perm)
+    for t, i in enumerate(perm, 1):  # boxes[t - 1] came with step t
+        order[i] = t
+    return d, order
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +417,10 @@ def _check_seq(e, tree, cls):
 
 
 def _admissible(e, tree, cls):
-    """The values u, ascending, for which e + (u,) is in the class."""
-    return invseq.extension_values(
-        e, invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS)
+    """The values u, ascending, for which e + (u,) is in the class; e must
+    be a member, as every node is."""
+    pats = invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS
+    return invseq._avoiding_values(e, tuple(map(invseq._pattern, pats)))
 
 
 def _type_seq(e, tree, cls):
@@ -414,6 +478,7 @@ def replay_invseq(trace, tree, cls="i7"):
     runs from the largest value down, so a "*" step types no child."""
     e = _check_seq((0,), tree, cls)
     for rule, param in trace:
+        _check_param(rule, param)
         ext = _admissible(e, tree, cls)
         u = next((u for u in reversed(ext)
                   if _step(e, u, tree, cls, ext) == (rule, param)), None)

@@ -30,12 +30,14 @@ class CheckResult:
 
 
 class _Ctx:
-    """Shared memo for the expensive enumerations."""
+    """Shared memo for the expensive enumerations.  The lists it returns are
+    shared by every caller, which must not change them."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self._strong = {}
         self._weak = {}
+        self._classes = {}
 
     def strong(self, n):
         if n not in self._strong:
@@ -49,11 +51,18 @@ class _Ctx:
             self._weak[n] = universe.weak_classes(self.strong(n))
         return self._weak[n]
 
+    def _class(self, mode, n, avoid):
+        key = (mode, n, frozenset(avoid))
+        if key not in self._classes:
+            pool = self.strong(n) if mode == "strong" else self.weak(n)
+            self._classes[key] = [d for d in pool if avoids_all(d, avoid)]
+        return self._classes[key]
+
     def strong_class(self, n, avoid):
-        return [d for d in self.strong(n) if avoids_all(d, avoid)]
+        return self._class("strong", n, avoid)
 
     def weak_class(self, n, avoid):
-        return [d for d in self.weak(n) if avoids_all(d, avoid)]
+        return self._class("weak", n, avoid)
 
 
 def suite_catalan(ctx, max_n=6):
@@ -66,18 +75,19 @@ def suite_catalan(ctx, max_n=6):
                  for t in bij.all_trees(n))
         r.check(f"n={n}: grown drawings read back as the structural images",
                 ok)
-    for n in range(1, 13):
+    levels = bij.tree_image_levels(12)
+    next(levels)  # the empty tree
+    for n, images in enumerate(levels, 1):
         if not r.check(f"n={n}: tree images distinct and Catalan-many",
-                       _count_if_distinct(bij.tree_images(n))
-                       == paths.catalan(n)):
+                       _count_if_distinct(images) == paths.catalan(n)):
             break
     return r
 
 
 def _count_if_distinct(items):
-    """len(items) if no two are equal, else None.  Sorts items in place,
-    which unlike a set needs no table beside them."""
-    items.sort()
+    """len(items) if no two are equal, else None.  Sorts a copy, which
+    unlike a set needs no table beside it."""
+    items = sorted(items)
     return len(items) if all(a < b for a, b in pairwise(items)) else None
 
 

@@ -153,6 +153,44 @@ def test_tree_images_match_tree_to_seq():
                                       for t in bij.all_trees(n)]
 
 
+def _ref_rect_of_tree(t):
+    """rect_of_tree as a recursion that builds each subtree's drawing."""
+    left, right = t
+    if left is None and right is None:
+        return make_drawing(1, 1, [(0, 0, 1, 1)])
+    if right is None:
+        sub = _ref_rect_of_tree(left)
+        boxes = [(0, 0, sub.width, 1)]
+        boxes += [(x0, y0 + 1, x1, y1 + 1) for (x0, y0, x1, y1) in sub.rects]
+        return make_drawing(sub.width, sub.height + 1, boxes)
+    if left is None:
+        sub = _ref_rect_of_tree(right)
+        boxes = [(0, 0, 1, sub.height)]
+        boxes += [(x0 + 1, y0, x1 + 1, y1) for (x0, y0, x1, y1) in sub.rects]
+        return make_drawing(sub.width + 1, sub.height, boxes)
+    da, db = _ref_rect_of_tree(left), _ref_rect_of_tree(right)
+    W, H = da.width + db.width, da.height + db.height
+
+    def ya(y):
+        return H if y == da.height else y + 1
+
+    def yb(y):
+        return 0 if y == 0 else y + da.height
+
+    boxes = [(0, 0, da.width, 1)]
+    boxes += [(x0, ya(y0), x1, ya(y1)) for (x0, y0, x1, y1) in da.rects]
+    boxes += [(x0 + da.width, yb(y0), x1 + da.width, yb(y1))
+              for (x0, y0, x1, y1) in db.rects]
+    return make_drawing(W, H, boxes)
+
+
+def test_rect_of_tree_matches_the_recursive_reference():
+    for n in range(1, 9):
+        for t in bij.all_trees(n):
+            assert (bij.rect_of_tree(t).to_json()
+                    == _ref_rect_of_tree(t).to_json()), t
+
+
 def test_rect_of_tree_rejects_the_empty_tree():
     with pytest.raises(ValueError):
         bij.rect_of_tree(None)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectlab import gentree, invseq, universe
-from rectlab.drawing import segments_of, strong_key
+from rectlab.drawing import (InvalidDrawing, canonical_drawing,
+                             make_drawing_with_perm, ne_rect_index,
+                             segments_of, size1, strong_key)
 from rectlab.gentree import (ClassError, count_by_tree, level_counts,
                              replay_invseq,
                              replay_rect, replay_rect_tracked,
@@ -272,14 +274,15 @@ def test_segment_helpers_match_segments_of(ctx):
     the full segment list; every caller asks up to the top side."""
     for n in range(1, 7):
         for d in ctx.strong(n):
-            assert gentree._active_td_joints(d) == _ref_active_td_joints(d)
+            g = gentree._view(d)
+            assert gentree._active_td_joints(g) == _ref_active_td_joints(d)
             for x in range(d.width + 1):
                 for y_lo in range(d.height):
-                    assert (gentree._left_neighbor_lines(d, x, y_lo, d.height)
+                    assert (gentree._left_neighbor_lines(g, x, y_lo, d.height)
                             == _ref_left_neighbor_lines(d, x, y_lo, d.height))
             for y in range(1, d.height):
                 for x_left in range(d.width):
-                    assert (gentree._td_joints_on(d, y, x_left)
+                    assert (gentree._td_joints_on(g, y, x_left)
                             == _ref_td_joints_on(d, y, x_left))
 
 
@@ -374,33 +377,228 @@ def _ref_replay_invseq(trace, tree, cls="i7"):
     return e
 
 
-def _ref_children_rect(d, tree):
+# The drawing side as it stood when every step built and analysed a drawing:
+# each builder and delete below reads a RectDrawing through the segments_of
+# references above, and the boxes of every step go through make_drawing and
+# canonical_drawing.  Nothing here calls gentree's drawing side.
+
+
+def _ref_require(cond, msg):
+    if not cond:
+        raise InvalidDrawing(msg)
+
+
+def _ref_span(d, orientation, axis):
+    return next((s.lo, s.hi) for s in segments_of(d)
+                if s.orientation == orientation and s.axis == axis)
+
+
+def _ref_e_rects(d):
+    return sorted((i for i, b in enumerate(d.rects) if b[2] == d.width),
+                  key=lambda i: -d.rects[i][3])
+
+
+def _ref_n_rects(d):
+    return sorted((i for i, b in enumerate(d.rects) if b[3] == d.height),
+                  key=lambda i: d.rects[i][0])
+
+
+def _ref_type_rect(d, tree):
     if tree == "t1":
-        k, ell = t1_type_rect(d)
+        ne = d.rects[ne_rect_index(d)]
+        return (len(_ref_e_rects(d)),
+                len(_ref_left_neighbor_lines(d, ne[0], ne[1], d.height)))
+    return (len(_ref_n_rects(d)), len(_ref_active_td_joints(d)))
+
+
+def _ref_t1_star(d, j):
+    erects = _ref_e_rects(d)
+    _ref_require(1 <= j <= len(erects), "star parameter out of range")
+    y_bot = d.rects[erects[j - 1]][1]
+    pushed = set(erects[:j])
+    boxes = [(x0, y0, x1 + (0 if i in pushed or x1 < d.width else 1), y1)
+             for i, (x0, y0, x1, y1) in enumerate(d.rects)]
+    return d.width + 1, d.height, boxes, (d.width, y_bot, d.width + 1, d.height)
+
+
+def _ref_t1_dstar(d, i):
+    ne = ne_rect_index(d)
+    x0, y0 = d.rects[ne][0], d.rects[ne][1]
+    qs = ([d.height] + _ref_left_neighbor_lines(d, x0, y0, d.height)[::-1]
+          + [y0])
+    _ref_require(0 <= i <= len(qs) - 2, "dstar parameter out of range")
+    p = qs[i + 1] + 1
+
+    def sh(y):
+        return y + 1 if y >= p else y
+
+    boxes = []
+    for r, (a, b, c, dd) in enumerate(d.rects):
+        if r == ne:
+            boxes.append((a, sh(b), c, p))
+        else:
+            boxes.append((a, sh(b), c, sh(dd)))
+    return d.width, d.height + 1, boxes, (x0, p, d.width, d.height + 1)
+
+
+def _ref_t2_star(d, j):
+    nrects = _ref_n_rects(d)
+    _ref_require(1 <= j <= len(nrects), "star parameter out of range")
+    x_star = d.rects[nrects[len(nrects) - j]][0]
+    boxes = [(a, b, c, e + (1 if e == d.height and c <= x_star else 0))
+             for (a, b, c, e) in d.rects]
+    return d.width, d.height + 1, boxes, (x_star, d.height, d.width,
+                                          d.height + 1)
+
+
+def _ref_t2_tstar(d, param):
+    _ref_require(param is None, "tstar takes no parameter")
+    return d.width + 1, d.height, list(d.rects), (d.width, 0, d.width + 1,
+                                                  d.height)
+
+
+def _ref_t2_dstar(d, i):
+    joints = _ref_active_td_joints(d)
+    _ref_require(1 <= i <= len(joints), "dstar parameter out of range")
+    x_v, y_h = joints[i - 1]
+    boxes = []
+    for (a, b, c, e) in d.rects:
+        if c == d.width and b >= y_h:
+            _ref_require(a < x_v, "tower rectangle does not span the joint")
+            boxes.append((a, b + 1, x_v, e + 1))
+        elif e == y_h and c <= x_v:
+            boxes.append((a, b, c, e + 1))
+        elif e == y_h:
+            _ref_require(a >= x_v, "rect below the shelf straddles the joint")
+            boxes.append((a, b, c, e))
+        else:
+            boxes.append((a, b + (1 if b >= y_h else 0), c,
+                          e + (1 if e > y_h else 0)))
+    return d.width, d.height + 1, boxes, (x_v, y_h, d.width, d.height + 1)
+
+
+_REF_BUILDS = {("t1", "*"): _ref_t1_star, ("t1", "**"): _ref_t1_dstar,
+               ("t2", "*"): _ref_t2_star, ("t2", "**"): _ref_t2_dstar,
+               ("t2", "***"): _ref_t2_tstar}
+
+
+def _ref_apply_rect_step(d, tree, step):
+    rule, param = step
+    build = _REF_BUILDS.get((tree, rule))
+    if build is None:
+        raise ValueError(f"{tree} has no {rule} rule")
+    width, height, boxes, new = build(d, param)
+    d2, perm = make_drawing_with_perm(width, height, boxes + [new])
+    return canonical_drawing(d2), perm
+
+
+def _ref_t1_delete(d):
+    ne = ne_rect_index(d)
+    x0, y0, _, _ = d.rects[ne]
+    star = y0 == 0 or (x0 > 0 and _ref_span(d, "v", x0)[0] == y0)
+    if star:
+        lefts = [i for i, b in enumerate(d.rects) if b[2] == x0]
+        j = len(lefts) if y0 == 0 else len(
+            [i for i in lefts if y0 <= d.rects[i][1]])
+        _ref_require(j >= 1 or y0 == 0, "no rectangles to restore")
+        boxes = []
+        for i, (a, b, c, dd) in enumerate(d.rects):
+            if i == ne:
+                continue
+            if c == x0:
+                c = d.width
+            boxes.append((a - (a > x0), b, c - (c > x0), dd))
+        parent = make_drawing_with_perm(d.width - 1, d.height, boxes)[0]
+        step = ("*", j)
+    else:
+        below = [i for i, b in enumerate(d.rects) if b[3] == y0]
+        _ref_require(len(below) == 1, "expected a single rectangle below")
+        yb = d.rects[below[0]][1]
+        _ref_require(d.rects[below[0]][0] == x0
+                     and _ref_span(d, "h", y0)[0] == x0,
+                     "shelf does not span the NE rectangle")
+        i_param = len(_ref_left_neighbor_lines(d, x0, y0, d.height))
+        boxes = []
+        for i, (a, b, c, dd) in enumerate(d.rects):
+            if i == ne:
+                continue
+            if i == below[0]:
+                a, b, c, dd = x0, yb, d.width, d.height
+            boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
+        parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+        step = ("**", i_param)
+    return canonical_drawing(parent), step
+
+
+def _ref_t2_delete(d):
+    ne = ne_rect_index(d)
+    x0, y0, _, _ = d.rects[ne]
+    if y0 == 0:
+        _ref_require(x0 == d.width - 1, "NE column wider than one cell")
+        boxes = [b for i, b in enumerate(d.rects) if i != ne]
+        parent = make_drawing_with_perm(x0, d.height, boxes)[0]
+        step = ("***", None)
+    else:
+        lefts = _ref_left_neighbor_lines(d, x0, y0, d.height)
+        if not lefts:
+            boxes = []
+            for i, (a, b, c, dd) in enumerate(d.rects):
+                if i == ne:
+                    continue
+                if dd == y0 and a >= x0:
+                    dd = d.height
+                boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
+            parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+            step = ("*", 1 + _ref_td_joints_on(d, y0, x0))
+        else:
+            y_h2 = lefts[0]
+            i_param = 1 + len(_ref_active_td_joints(d))
+            boxes = []
+            for i, (a, b, c, dd) in enumerate(d.rects):
+                if i == ne:
+                    continue
+                if c == x0 and b >= y_h2:
+                    boxes.append((a, b - 1, d.width, dd - 1))
+                elif dd == y0 and a >= x0:
+                    boxes.append((a, b, c, y_h2 - 1))
+                else:
+                    boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
+            parent = make_drawing_with_perm(d.width, d.height - 1, boxes)[0]
+            step = ("**", i_param)
+    return canonical_drawing(parent), step
+
+
+def _ref_children_rect(d, tree):
+    k, ell = _ref_type_rect(d, tree)
+    if tree == "t1":
         steps = ([("*", j) for j in range(1, k + 1)]
                  + [("**", i) for i in range(ell + 1)])
     else:
-        k, ell = t2_type_rect(d)
         steps = ([("*", j) for j in range(1, k + 1)]
                  + [("**", i) for i in range(1, ell + 1)] + [("***", None)])
-    return [(s, gentree._apply_rect_step(d, tree, s)[0]) for s in steps]
+    return [(s, _ref_apply_rect_step(d, tree, s)[0]) for s in steps]
 
 
 def _ref_trace_of_rect(d, tree):
-    d = gentree.canonical_drawing(d)
+    d = canonical_drawing(d)
     steps = []
     while d.size > 1:
-        d, step = (gentree._t1_delete if tree == "t1"
-                   else gentree._t2_delete)(d)
+        d, step = (_ref_t1_delete if tree == "t1" else _ref_t2_delete)(d)
         steps.append(step)
     return steps[::-1]
 
 
-def _ref_replay_rect(trace, tree):
-    d = gentree.size1()
-    for step in trace:
-        d, _ = gentree._apply_rect_step(d, tree, step)
-    return d
+def _ref_replay_rect_tracked(trace, tree):
+    d = size1()
+    labels = [1]
+    for t, step in enumerate(trace, 2):
+        d, perm = _ref_apply_rect_step(d, tree, step)
+        relabeled = [None] * d.size
+        for old, new in enumerate(perm):
+            relabeled[new] = labels[old] if old < len(labels) else t
+        labels = relabeled
+        labels[perm[-1]] = t
+    return d, labels
 
 
 def _sequence_members(max_n):
@@ -445,7 +643,66 @@ def test_rect_side_matches_the_reference_rules(tree, pattern):
             tr = trace_of_rect(d, tree)
             assert tr == _ref_trace_of_rect(d, tree)
             assert replay_rect(tr, tree).to_json() == \
-                _ref_replay_rect(tr, tree).to_json()
+                _ref_replay_rect_tracked(tr, tree)[0].to_json()
+
+
+@pytest.mark.parametrize("tree,pattern", [("t1", "td"), ("t2", "tu")])
+def test_replay_and_trace_match_the_per_step_reference(ctx, tree, pattern):
+    for n in range(1, 8):
+        for d in ctx.strong_class(n, (pattern,)):
+            tr = trace_of_rect(d, tree)
+            assert tr == _ref_trace_of_rect(d, tree), d
+            got, order = replay_rect_tracked(tr, tree)
+            want, want_order = _ref_replay_rect_tracked(tr, tree)
+            assert (got.to_json(), order) == (want.to_json(), want_order)
+
+
+_SHORT_STEPS = ([(rule, p) for rule in ("*", "**", "***")
+                 for p in range(-1, 5)] + [("***", None)])
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+def test_short_step_lists_match_the_per_step_reference(tree):
+    """Every list of at most three steps: the replay refuses exactly the
+    lists the per-step reference refuses, and builds the same drawing from
+    the others.  The reference walks the lists as a tree of prefixes; None
+    marks a prefix it refused."""
+    taken = [0] * 4
+
+    def walk(trace, want):
+        if want is None:
+            with pytest.raises(ValueError):
+                replay_rect(trace, tree)
+        else:
+            assert replay_rect(trace, tree).to_json() == want.to_json()
+            taken[len(trace)] += 1
+        if len(trace) == 3:
+            return
+        for step in _SHORT_STEPS:
+            child = None
+            if want is not None:
+                try:
+                    child = _ref_apply_rect_step(want, tree, step)[0]
+                except ValueError:
+                    pass
+            walk(trace + [step], child)
+
+    walk([], size1())
+    assert taken == [1, 2, 5, 15]
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+@pytest.mark.parametrize("rule", ["*", "**", "***"])
+def test_replays_refuse_a_parameter_that_is_not_an_int(tree, rule):
+    first = ("*", 1)
+    for param in (None, True, False, 1.0, "1", [1]):
+        if rule == "***" and param is None:
+            continue
+        for trace in ([(rule, param)], [first, (rule, param)]):
+            with pytest.raises(ValueError):
+                replay_rect(trace, tree)
+            with pytest.raises(ValueError):
+                replay_invseq(trace, tree)
 
 
 _json_values = st.recursive(

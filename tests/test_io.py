@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from rectlab import cli, oeis, paths, verify
+from rectlab import cli, oeis, paths, universe, verify
 from rectlab.gentree import count_by_tree
+from rectlab.patterns import avoids_all
 from rectlab.render import render_ascii, render_svg
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -317,6 +318,31 @@ def test_run_suites_caps_every_suite_with_a_max_n(monkeypatch):
     assert calls == {"capped": 7, "uncapped": 100}
     verify.run_suites()
     assert calls == {"capped": 7, "uncapped": 100}
+
+
+def test_suites_leave_the_shared_class_lists_unchanged(monkeypatch):
+    """The ctx memoises each class list and hands every caller the same
+    list; after every suite has run, each list still holds the class
+    members in universe order."""
+    made = []
+
+    class Recording(verify._Ctx):
+        def __init__(self, cache_dir=None):
+            super().__init__(cache_dir)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_Ctx", Recording)
+    assert all(res.ok for res in verify.run_suites(max_n=4))
+    [ctx] = made
+    assert ctx.strong_class(3, ("td", "tr")) is \
+        ctx.strong_class(3, ["tr", "td"])
+    assert len(ctx._classes) > 10
+    for (mode, n, avoid), members in ctx._classes.items():
+        pool = universe.enumerate_strong(n)
+        if mode == "weak":
+            pool = universe.weak_classes(pool)
+        assert members == [d for d in pool if avoids_all(d, avoid)], \
+            (mode, n, avoid)
 
 
 def test_run_suites_labels_match_the_golden_file():
