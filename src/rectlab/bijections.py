@@ -102,10 +102,6 @@ def beta(d: RectDrawing):
 BinaryTree = object  # None | tuple(left, right)
 
 
-def tree_size(t) -> int:
-    return 0 if t is None else 1 + tree_size(t[0]) + tree_size(t[1])
-
-
 def all_trees(n):
     """All binary trees with n nodes: for each left size i in increasing
     order, every left tree with every right tree.  The trees of sizes below
@@ -147,17 +143,12 @@ def tree_to_seq(t):
     return tuple(out)
 
 
-def tree_images(n):
-    """[tree_to_seq(t) for t in all_trees(n)]."""
-    return list(tree_image_levels(n))[n]
-
-
 def tree_image_levels(n):
-    """Yield tree_images(m) for m = 0..n in turn, each built from the images
-    of the smaller sizes: for each split, the right-hand images are shifted
-    once, and each image is one concatenation of a root-and-left head with a
-    shifted tail.  The later levels are built from the lists yielded, so a
-    caller must not reorder them."""
+    """Yield [tree_to_seq(t) for t in all_trees(m)] for m = 0..n in turn,
+    each built from the images of the smaller sizes: for each split, the
+    right-hand images are shifted once, and each image is one concatenation
+    of a root-and-left head with a shifted tail.  The later levels are built
+    from the lists yielded, so a caller must not reorder them."""
     levels = [[()]]
     yield levels[0]
     for m in range(1, n + 1):
@@ -292,8 +283,9 @@ def lambda_labels(d: RectDrawing):
 def tree_T(d: RectDrawing):
     """Contact tree: edge from X to Y when the SE corner of X lies on the
     left side of Y; the root is the unique E-rectangle, a virtual node when
-    there are several.  Returns (root, parents, children) over rect indices,
-    root = -1 for the virtual node."""
+    there are several.  Returns (root, parents, children, canonical) over
+    the rect indices of canonical, the canonical drawing of d; root = -1 for
+    the virtual node."""
     _check_t2_rect(d)
     d = canonical_drawing(d)
     erects = [i for i, b in enumerate(d.rects) if b[2] == d.width]

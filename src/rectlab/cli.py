@@ -11,13 +11,13 @@ import json
 import sys
 
 from . import bijections as bij
-from . import gentree, invseq, oeis, paths, universe, verify
-from .drawing import InvalidDrawing, from_json
+from . import gentree, oeis, paths, universe, verify
+from .drawing import from_json
 from .patterns import PATTERNS
 from .render import render_ascii, render_svg
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -49,41 +49,14 @@ def parse_range(text):
     return out
 
 
-# Counting method of every class that avoids a nonempty L within
-# {td, tu, tr, tl}: one row per orbit of the 32 (mode, L) cells under the
-# dihedral symmetries, keyed by (mode, |L|, whether L mixes a vertical joint
-# td/tu with a sideways one tr/tl).  A row holds the tag `count` prints and
-# the count as a function of n; a class with no row is counted in the
-# universe.  The functions are looked up at call time, so that a tracer that
-# wraps module functions sees these calls.
-CLASSES = {
-    ("weak", 1, False): ("catalan", lambda n: paths.catalan(n)),
-    ("strong", 1, False): ("tree dp",
-                           lambda n: gentree.count_by_tree("t1", n)),
-    ("weak", 2, False): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
-    ("strong", 2, False): ("bounded-height series",
-                           lambda n: paths.rushed_count(n)),
-    ("weak", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
-    ("strong", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
-    ("weak", 3, True): ("formula n", lambda n: n),
-    ("strong", 3, True): ("formula n", lambda n: n),
-    ("weak", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
-    ("strong", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
-}
-
-_VERTICAL, _SIDEWAYS = frozenset({"td", "tu"}), frozenset({"tr", "tl"})
-
-
 def class_count(mode, avoid, n, method="auto", max_n=None, cache_dir=None):
-    """(value, tag): the class's CLASSES row under method "auto", else the
-    universe count."""
+    """(value, tag): the class's verify.CLASSES row under method "auto",
+    else the universe count."""
     if n < 1:
         raise UsageError(f"size must be >= 1, got {n}")
-    if method == "auto" and avoid <= _VERTICAL | _SIDEWAYS:
-        row = CLASSES.get((mode, len(avoid),
-                           bool(avoid & _VERTICAL and avoid & _SIDEWAYS)))
-        if row is not None:
-            return row[1](n), row[0]
+    row = verify._class_row(mode, avoid) if method == "auto" else None
+    if row is not None:
+        return row[1](n), row[0]
     return (universe.count_class(n, mode, avoid, max_n=max_n,
                                  cache_dir=cache_dir), "universe")
 
@@ -99,13 +72,6 @@ def _load_input(args):
         return sys.stdin.read()
     with open(args.input) as fh:
         return fh.read()
-
-
-def _drawing_from(args):
-    text = _load_input(args)
-    if not isinstance(text, str):
-        raise UsageError("expected a drawing JSON file")
-    return from_json(text)
 
 
 def _cache_dir(args):
@@ -191,13 +157,13 @@ def cmd_trace(args):
         else:
             print(json.dumps(list(gentree.replay_invseq(trace, args.tree))))
     else:
-        d = _drawing_from(args)
+        d = from_json(_load_input(args))
         print(gentree.trace_to_json(gentree.trace_of_rect(d, args.tree)))
     return 0
 
 
 def cmd_render(args):
-    d = _drawing_from(args)
+    d = from_json(_load_input(args))
     if args.format == "ascii":
         print(render_ascii(d, labels=args.labels, joints=args.joints))
     else:
@@ -244,7 +210,8 @@ def cmd_oeis(args):
         return 3
     ours, tag = {}, "no terms"
     # --max-n bounds the terms compared, not the universe: a class with no
-    # CLASSES row stops at the universe's default cap
+    # CLASSES row stops at the universe's default cap.  n starts at 1, so the
+    # ValueError caught is a cap, never a UsageError
     for n in range(1, args.max_n + 1):
         try:
             ours[n], tag = class_count(mode, avoid, n,
@@ -266,9 +233,8 @@ def build_parser():
         description="pattern-avoiding rectangulations workbench")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, cache=True):
-        if cache:
-            p.add_argument("--cache-dir", default=None)
+    def common(p):
+        p.add_argument("--cache-dir", default=None)
         p.add_argument("--max-n", type=int, default=None)
 
     p = sub.add_parser("count", help="count class members by size")
@@ -316,7 +282,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all")
-    common(p)
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--max-n", type=int, default=None,
+                   help="lower every suite's size cap to this; a cap below "
+                        "it stays, so it never enlarges a suite")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oeis", help="compare counts against an OEIS b-file")
@@ -336,10 +305,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidDrawing, gentree.ClassError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, InvalidDrawing, ClassError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

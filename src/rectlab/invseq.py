@@ -121,11 +121,15 @@ def _avoiding_values(prefix, pats):
     return [v for v in range(top + 1) if allowed[v]]
 
 
-def enumerate_invseq(n, avoid=(), cap=10):
+# Longest sequences enumerate_invseq lists when it avoids some pattern.
+LENGTH_CAP = 10
+
+
+def enumerate_invseq(n, avoid=()):
     """All length-n inversion sequences avoiding the given patterns, in
     lexicographic order."""
-    if avoid and n > cap:
-        raise ValueError(f"length {n} exceeds the cap {cap}")
+    if avoid and n > LENGTH_CAP:
+        raise ValueError(f"length {n} exceeds the cap {LENGTH_CAP}")
     pats = tuple(_pattern(p) for p in avoid)
 
     def rec(prefix):
@@ -138,8 +142,8 @@ def enumerate_invseq(n, avoid=(), cap=10):
     yield from rec(())
 
 
-def count_invseq(n, avoid=(), cap=10) -> int:
-    return sum(1 for _ in enumerate_invseq(n, avoid, cap))
+def count_invseq(n, avoid=()) -> int:
+    return sum(1 for _ in enumerate_invseq(n, avoid))
 
 
 class Stats(NamedTuple):
@@ -281,16 +285,6 @@ def transform_6_to_8(e):
         return out[::-1]
 
     return _map_areas(e, inv)
-
-
-def extension_values(e, avoid):
-    """Values u such that e + (u,) is a valid inversion sequence avoiding the
-    given patterns."""
-    e = check_invseq(e)
-    pats = tuple(_pattern(p) for p in avoid)
-    if any(_has_relorder_match(e, pat) for pat in pats):
-        return []
-    return _avoiding_values(e, pats)
 
 
 def all_ltr_maxima_high(e) -> bool:

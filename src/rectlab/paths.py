@@ -33,10 +33,14 @@ def check_dyck(word: str) -> str:
     return word
 
 
-def dyck_paths(semilength: int, cap: int = 13):
+# Largest semilength dyck_paths, rushed_paths and progressive_paths list.
+PATH_CAP = 13
+
+
+def dyck_paths(semilength: int):
     """All Dyck words of the given semilength, lexicographic (D < U)."""
-    if semilength > cap:
-        raise ValueError(f"semilength {semilength} exceeds the cap {cap}")
+    if semilength > PATH_CAP:
+        raise ValueError(f"semilength {semilength} exceeds the cap {PATH_CAP}")
 
     def rec(word, h, rest):
         if rest == 0:
@@ -93,13 +97,13 @@ def is_progressive(word: str) -> bool:
     return True
 
 
-def rushed_paths(semilength: int, cap: int = 13):
+def rushed_paths(semilength: int):
     """All rushed Dyck words of the given semilength, lexicographic (D < U):
     the dyck_paths words that is_rushed keeps, generated directly.  For each
     initial rise h, ascending, the word goes on with a down-step and then
     stays at altitude 0..h-1 until it returns to 0."""
-    if semilength > cap:
-        raise ValueError(f"semilength {semilength} exceeds the cap {cap}")
+    if semilength > PATH_CAP:
+        raise ValueError(f"semilength {semilength} exceeds the cap {PATH_CAP}")
     if semilength <= 0:
         return [""] if semilength == 0 else []
     out = []
@@ -118,8 +122,8 @@ def rushed_paths(semilength: int, cap: int = 13):
     return out
 
 
-def progressive_paths(semilength: int, cap: int = 13):
-    return [p for p in dyck_paths(semilength, cap) if is_progressive(p)]
+def progressive_paths(semilength: int):
+    return [p for p in dyck_paths(semilength) if is_progressive(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +190,6 @@ def strip_path_count(steps: int, k: int) -> int:
 # coefficients have about 0.6 * order digits, so the cost grows faster than
 # order^2: order 2000 already takes seconds.
 SERIES_CAP = 2000
-
-
-def poly_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= order:
-            for j, bj in enumerate(b):
-                if i + j > order:
-                    break
-                out[i + j] += ai * bj
-    return out
 
 
 def _extend_inverse(q, inv, order):

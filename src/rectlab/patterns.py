@@ -65,7 +65,17 @@ def contains(d: RectDrawing, pattern: str) -> bool:
 
 
 def avoids_all(d: RectDrawing, patterns) -> bool:
-    return not any(contains(d, p) for p in patterns)
+    windmills = None  # one search serves both chiralities
+    for p in patterns:
+        if p in (WINDMILL_CW, WINDMILL_CCW):
+            if windmills is None:
+                windmills = dict(zip((WINDMILL_CW, WINDMILL_CCW),
+                                     _windmills(d)))
+            if windmills[p]:
+                return False
+        elif contains(d, p):
+            return False
+    return True
 
 
 @lru_cache(maxsize=1 << 16)

@@ -29,6 +29,46 @@ class CheckResult:
         return cond
 
 
+# Counting method of every class that avoids a nonempty L within
+# {td, tu, tr, tl}: one row per orbit of the 32 (mode, L) cells under the
+# dihedral symmetries, keyed by (mode, |L|, whether L mixes a vertical joint
+# td/tu with a sideways one tr/tl).  A row holds the tag `count` prints and
+# the count as a function of n; a class with no row is counted in the
+# universe.  The suites check every row against the universe.  The functions
+# are looked up at call time, so that a tracer that wraps module functions
+# sees these calls.
+CLASSES = {
+    ("weak", 1, False): ("catalan", lambda n: paths.catalan(n)),
+    ("strong", 1, False): ("tree dp",
+                           lambda n: gentree.count_by_tree("t1", n)),
+    ("weak", 2, False): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("strong", 2, False): ("bounded-height series",
+                           lambda n: paths.rushed_count(n)),
+    ("weak", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("strong", 2, True): ("formula 2^(n-1)", lambda n: 2 ** (n - 1)),
+    ("weak", 3, True): ("formula n", lambda n: n),
+    ("strong", 3, True): ("formula n", lambda n: n),
+    ("weak", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
+    ("strong", 4, True): ("formula 2", lambda n: 1 if n == 1 else 2),
+}
+
+_VERTICAL, _SIDEWAYS = frozenset({"td", "tu"}), frozenset({"tr", "tl"})
+
+
+def _class_row(mode, avoid):
+    """The CLASSES row (tag, count function) of the class avoiding the
+    frozenset avoid, or None."""
+    if not avoid <= _VERTICAL | _SIDEWAYS:
+        return None
+    return CLASSES.get((mode, len(avoid),
+                        bool(avoid & _VERTICAL and avoid & _SIDEWAYS)))
+
+
+def _row_count(mode, avoid, n):
+    """The size-n count that the CLASSES row of the class gives."""
+    return _class_row(mode, frozenset(avoid))[1](n)
+
+
 class _Ctx:
     """Shared memo for the expensive enumerations.  The lists it returns are
     shared by every caller, which must not change them."""
@@ -67,7 +107,7 @@ class _Ctx:
 
 def suite_catalan(ctx, max_n=6):
     r = CheckResult("catalan")
-    want = [paths.catalan(n) for n in range(1, max_n + 1)]
+    want = [_row_count("weak", ("td",), n) for n in range(1, max_n + 1)]
     got = [len(ctx.weak_class(n, ("td",))) for n in range(1, max_n + 1)]
     r.check(f"universe weak td-avoider counts n<={max_n} = {want}", got == want)
     for n in range(1, max_n + 1):
@@ -79,7 +119,8 @@ def suite_catalan(ctx, max_n=6):
     next(levels)  # the empty tree
     for n, images in enumerate(levels, 1):
         if not r.check(f"n={n}: tree images distinct and Catalan-many",
-                       _count_if_distinct(images) == paths.catalan(n)):
+                       _count_if_distinct(images)
+                       == _row_count("weak", ("td",), n)):
             break
     return r
 
@@ -96,7 +137,7 @@ def suite_a279555(ctx, max_n=7, dp_n=100):
     hand = [1, 2, 5, 15]
     r.check("first terms 1,2,5,15", gentree.level_counts("t1", 4) == hand)
     for n in range(1, max_n + 1):
-        ref = gentree.count_by_tree("t1", n)
+        ref = _row_count("strong", ("td",), n)
         vals = {
             "strong td-avoiders": len(ctx.strong_class(n, ("td",))),
             "strong tu-avoiders": len(ctx.strong_class(n, ("tu",))),
@@ -145,29 +186,30 @@ def suite_conjecture_stats(ctx, max_n=7):
     return r
 
 
+def _bijective(members, fwd, inv, key, onto=None):
+    """True iff fwd maps the members to distinct images, inv takes each
+    image back to its member's key class, and, when onto is given, the
+    images are exactly onto."""
+    images = [fwd(d) for d in members]
+    return (len(set(images)) == len(members)
+            and all(key(inv(e)) == key(d) for e, d in zip(images, members))
+            and (onto is None or sorted(images) == sorted(onto)))
+
+
 def suite_bijections(ctx, max_n=7, phi_n=9):
     r = CheckResult("bijections")
     for n in range(1, max_n + 1):
         wk = ctx.weak_class(n, ("td",))
-        taus = [bij.tau(d) for d in wk]
-        ok = len(set(taus)) == len(wk)
-        ok = ok and all(weak_key(bij.tau_inv(e)) == weak_key(d)
-                        for e, d in zip(taus, wk))
-        ok = ok and sorted(taus) == sorted(
-            invseq.enumerate_invseq(n, ("10",)))
-        r.check(f"n={n}: tau injective, onto, with round trips", ok)
-        deltas = [bij.delta(d) for d in wk]
-        ok = len(set(deltas)) == len(wk)
-        ok = ok and all(bij.delta_direct(d) == p for d, p in zip(wk, deltas))
-        ok = ok and all(weak_key(bij.delta_inv(p)) == weak_key(d)
-                        for d, p in zip(wk, deltas))
-        r.check(f"n={n}: delta = direct reading, injective, round trips", ok)
-        trees = [bij.tree_of(d) for d in wk]
-        ok = all(weak_key(bij.rect_of_tree(t)) == weak_key(d)
-                 for t, d in zip(trees, wk))
-        ok = ok and all(not contains(bij.rect_of_tree(t), "td")
-                        for t in bij.all_trees(n))
-        r.check(f"n={n}: tree construction round trips", ok)
+        r.check(f"n={n}: tau injective, onto, with round trips",
+                _bijective(wk, bij.tau, bij.tau_inv, weak_key,
+                           invseq.enumerate_invseq(n, ("10",))))
+        r.check(f"n={n}: delta = direct reading, injective, round trips",
+                _bijective(wk, bij.delta, bij.delta_inv, weak_key)
+                and all(bij.delta_direct(d) == bij.delta(d) for d in wk))
+        r.check(f"n={n}: tree construction round trips",
+                _bijective(wk, bij.tree_of, bij.rect_of_tree, weak_key)
+                and all(not contains(bij.rect_of_tree(t), "td")
+                        for t in bij.all_trees(n)))
         allweak = ctx.weak(n)
         r.check(f"n={n}: beta injective on weak classes",
                 len({bij.beta(d) for d in allweak}) == len(allweak))
@@ -176,43 +218,29 @@ def suite_bijections(ctx, max_n=7, phi_n=9):
                 ("tau7", bij.tau7, bij.tau7_inv, "i7"),
                 ("tau8", bij.tau8, bij.tau8_inv, "i8"),
                 ("tau6", bij.tau6, bij.tau6_inv, "i6")):
-            imgs = [fwd(d) for d in st]
-            ok = len(set(imgs)) == len(st)
-            ok = ok and all(strong_key(inv(e)) == strong_key(d)
-                            for e, d in zip(imgs, st))
-            ok = ok and sorted(imgs) == list(
-                invseq.enumerate_invseq(n, invseq.CLASS_PATTERNS[cls]))
-            r.check(f"n={n}: {name} bijective with round trips", ok)
-        su = ctx.strong_class(n, ("tu",))
-        imgs = [bij.sigma(d) for d in su]
-        ok = len(set(imgs)) == len(su)
-        ok = ok and all(strong_key(bij.sigma_inv(f)) == strong_key(d)
-                        for f, d in zip(imgs, su))
-        ok = ok and sorted(imgs) == list(
-            invseq.enumerate_invseq(n, ("011", "201")))
-        r.check(f"n={n}: sigma bijective with round trips", ok)
+            r.check(f"n={n}: {name} bijective with round trips",
+                    _bijective(st, fwd, inv, strong_key,
+                               invseq.enumerate_invseq(
+                                   n, invseq.CLASS_PATTERNS[cls])))
+        r.check(f"n={n}: sigma bijective with round trips",
+                _bijective(ctx.strong_class(n, ("tu",)), bij.sigma,
+                           bij.sigma_inv, strong_key,
+                           invseq.enumerate_invseq(n, ("011", "201"))))
         comp = ctx.weak_class(n, ("td", "tu"))
-        cs = [bij.composition_of(d) for d in comp]
-        ok = len(set(cs)) == len(comp) == 2 ** (n - 1)
-        ok = ok and all(weak_key(bij.rect_of_composition(c)) == weak_key(d)
-                        for c, d in zip(cs, comp))
-        r.check(f"n={n}: composition reading bijective", ok)
-        nw = ctx.strong_class(n, ("td", "tr"))
-        ws = [bij.nw_word(d) for d in nw]
-        ok = len(set(ws)) == len(nw)
-        ok = ok and all(strong_key(bij.rect_of_nw_word(w)) == strong_key(d)
-                        for w, d in zip(ws, nw))
-        r.check(f"n={n}: side-word reading bijective", ok)
+        r.check(f"n={n}: composition reading bijective",
+                _bijective(comp, bij.composition_of, bij.rect_of_composition,
+                           weak_key)
+                and len(comp) == _row_count("weak", ("td", "tu"), n))
+        r.check(f"n={n}: side-word reading bijective",
+                _bijective(ctx.strong_class(n, ("td", "tr")), bij.nw_word,
+                           bij.rect_of_nw_word, strong_key))
+    # phi(phi_inv(d)) on every universe representative d is checked in
+    # suite_a287709
     for m in range(2, phi_n + 2):
-        ok = all(bij_phi_roundtrip(p) for p in paths.rushed_paths(m))
-        r.check(f"semilength {m}: phi round trips on all rushed paths", ok)
+        r.check(f"semilength {m}: phi round trips on all rushed paths",
+                _bijective(paths.rushed_paths(m), paths.phi, paths.phi_inv,
+                           lambda p: p))
     return r
-
-
-def bij_phi_roundtrip(p):
-    """phi_inv(phi(p)) == p.  The other direction, phi(phi_inv(d)) on
-    every universe representative d, is checked in suite_a287709."""
-    return paths.phi_inv(paths.phi(p)) == p
 
 
 def suite_direct_vs_trace(ctx, max_n=7):
@@ -275,7 +303,8 @@ def suite_a287709(ctx, max_n=9, cross_n=7, restricted_n=8):
         rushed = len(paths.rushed_paths(n + 1))
         prog = len(paths.progressive_paths(n + 1))
         r.check(f"n={n}: class count {cnt} = rushed = progressive",
-                cnt == rushed == prog)
+                cnt == rushed == prog
+                == _row_count("strong", ("tr", "tl"), n))
         if n <= cross_n:
             members = ctx.strong_class(n, ("tr", "tl"))
             r.check(f"n={n}: strip oracle agrees with the universe",
@@ -321,25 +350,33 @@ def suite_series(ctx, order=100, strip_order=30, max_k=8):
 def suite_elementary(ctx, max_n=7):
     r = CheckResult("elementary")
     for n in range(1, max_n + 1):
+        vertical = ("td", "tu")
         r.check(f"n={n}: weak both-vertical-joints avoiders = 2^(n-1)",
-                len(ctx.weak_class(n, ("td", "tu"))) == 2 ** (n - 1))
-        cw = len(ctx.weak_class(n, ("td", "tr")))
-        cs = len(ctx.strong_class(n, ("td", "tr")))
+                len(ctx.weak_class(n, vertical))
+                == _row_count("weak", vertical, n))
+        top_left = ("td", "tr")
+        cw = len(ctx.weak_class(n, top_left))
+        cs = len(ctx.strong_class(n, top_left))
         r.check(f"n={n}: top-or-left class = 2^(n-1), weak = strong",
-                cw == cs == 2 ** (n - 1))
-        cw = len(ctx.weak_class(n, ("td", "tu", "tr")))
-        cs = len(ctx.strong_class(n, ("td", "tu", "tr")))
-        r.check(f"n={n}: three-pattern class counts n", cw == cs == n)
-        cs = len(ctx.strong_class(n, ("td", "tu", "tr", "tl")))
-        r.check(f"n={n}: all-pattern class counts {1 if n == 1 else 2}",
-                cs == (1 if n == 1 else 2))
+                cw == cs and cw == _row_count("weak", top_left, n)
+                and cs == _row_count("strong", top_left, n))
+        three = ("td", "tu", "tr")
+        cw = len(ctx.weak_class(n, three))
+        cs = len(ctx.strong_class(n, three))
+        r.check(f"n={n}: three-pattern class counts n",
+                cw == cs and cw == _row_count("weak", three, n)
+                and cs == _row_count("strong", three, n))
+        four = ("td", "tu", "tr", "tl")
+        want = _row_count("strong", four, n)
+        r.check(f"n={n}: all-pattern class counts {want}",
+                len(ctx.strong_class(n, four)) == want
+                and len(ctx.weak_class(n, four))
+                == _row_count("weak", four, n))
         r.check(f"n={n}: enumerated members match the explicit families",
                 {strong_key(bij.k_class(n, k)) for k in range(n)}
-                == {strong_key(d)
-                    for d in ctx.strong_class(n, ("td", "tu", "tr"))}
+                == {strong_key(d) for d in ctx.strong_class(n, three)}
                 and {strong_key(d) for d in bij.trivial_class(n)}
-                == {strong_key(d)
-                    for d in ctx.strong_class(n, ("td", "tu", "tr", "tl"))})
+                == {strong_key(d) for d in ctx.strong_class(n, four)})
     return r
 
 
@@ -371,8 +408,9 @@ SUITES = {
 
 
 def run_suites(names=None, max_n=None, cache_dir=None):
-    """Run the named suites (all by default); max_n lowers the exhaustive
-    cap of every suite that has a max_n parameter, for quick runs."""
+    """Run the named suites (all by default).  max_n, for quick runs, lowers
+    the max_n cap of every suite that has one and never raises it: a suite
+    runs at min(max_n, its default cap).  Its other sizes stay."""
     ctx = _Ctx(cache_dir=cache_dir)
     results = []
     for name in names or SUITES:

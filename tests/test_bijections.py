@@ -118,12 +118,16 @@ def test_tree_formula_matches_geometry():
             assert bij.seq_to_tree(bij.tree_to_seq(t)) == t
 
 
+def _tree_size(t):
+    return 0 if t is None else 1 + _tree_size(t[0]) + _tree_size(t[1])
+
+
 def test_tree_to_seq_matches_size_based_definition():
     def by_size(t):
         if t is None:
             return ()
         left, right = t
-        shift = 1 + bij.tree_size(left)
+        shift = 1 + _tree_size(left)
         return (0,) + by_size(left) + tuple(v + shift for v in by_size(right))
 
     for n in range(11):
@@ -149,8 +153,8 @@ def test_all_trees_matches_the_recursive_generator():
 
 def test_tree_images_match_tree_to_seq():
     for n in range(11):
-        assert bij.tree_images(n) == [bij.tree_to_seq(t)
-                                      for t in bij.all_trees(n)]
+        assert list(bij.tree_image_levels(n))[n] == \
+            [bij.tree_to_seq(t) for t in bij.all_trees(n)]
 
 
 def _ref_rect_of_tree(t):

@@ -15,6 +15,12 @@ from rectlab.gentree import (ClassError, count_by_tree, level_counts,
                              t2_children_invseq, t2_children_rect,
                              t2_type_invseq, t2_type_rect, trace_of_invseq,
                              trace_of_rect, trace_from_json, trace_to_json)
+from rectlab.patterns import contains
+
+
+def _extensions(e, pats):
+    """The values u such that e + (u,) avoids pats, by brute force."""
+    return [u for u in range(len(e) + 1) if invseq.avoids_all(e + (u,), pats)]
 
 
 def test_types(one, h2, d3, d3p):
@@ -117,12 +123,12 @@ def test_children_match_brute_force_extension():
             for cls in ("i6", "i7", "i8"):
                 if invseq.class_check(e, cls):
                     kids = {c for _, c in t1_children_invseq(e, cls)}
-                    want = {e + (u,) for u in invseq.extension_values(
+                    want = {e + (u,) for u in _extensions(
                         e, invseq.CLASS_PATTERNS[cls])}
                     assert kids == want
             if invseq.avoids_all(e, ("011", "201")):
                 kids = {c for _, c in t2_children_invseq(e)}
-                want = {e + (u,) for u in invseq.extension_values(
+                want = {e + (u,) for u in _extensions(
                     e, ("011", "201"))}
                 assert kids == want
 
@@ -139,7 +145,7 @@ def test_e_rects_track_rtl_minima():
             d, order = replay_rect_tracked(tr, "t2")
             mins = set(invseq.rtl_minima_positions(f))
             minvals = sorted(f[p - 1] for p in mins)
-            ext = invseq.extension_values(f, ("011", "201"))
+            ext = _extensions(f, ("011", "201"))
             for idx, b in enumerate(d.rects):
                 step = order[idx]
                 is_e = b[2] == d.width
@@ -295,7 +301,7 @@ def _ref_t1_type_invseq(e, cls="i7"):
     e = tuple(e)
     assert invseq.class_check(e, cls)
     m = max(e)
-    ext = invseq.extension_values(e, invseq.CLASS_PATTERNS[cls])
+    ext = _extensions(e, invseq.CLASS_PATTERNS[cls])
     bound = e[-1] if cls == "i7" else m
     return (len(e) - m, sum(1 for u in ext if u < bound))
 
@@ -304,7 +310,7 @@ def _ref_t2_type_invseq(e):
     e = tuple(e)
     assert invseq.avoids_all(e, ("011", "201"))
     m = max(e)
-    ext = invseq.extension_values(e, ("011", "201"))
+    ext = _extensions(e, ("011", "201"))
     return (len(e) - m, sum(1 for u in ext if 0 < u < m))
 
 
@@ -312,7 +318,7 @@ def _ref_t1_children_invseq(e, cls="i7"):
     e = tuple(e)
     m = max(e)
     out = []
-    for u in invseq.extension_values(e, invseq.CLASS_PATTERNS[cls]):
+    for u in _extensions(e, invseq.CLASS_PATTERNS[cls]):
         child = e + (u,)
         if u > m:
             step = ("*", u - m)
@@ -325,7 +331,7 @@ def _ref_t1_children_invseq(e, cls="i7"):
 def _ref_t2_children_invseq(e):
     e = tuple(e)
     m = max(e)
-    ext = invseq.extension_values(e, ("011", "201"))
+    ext = _extensions(e, ("011", "201"))
     mids = [u for u in ext if 0 < u < m]
     out = []
     for u in ext:
@@ -352,7 +358,7 @@ def _ref_trace_of_invseq(e, tree, cls="i7"):
         elif last == 0:
             steps.append(("***", None))
         else:
-            mids = [u for u in invseq.extension_values(prefix, ("011", "201"))
+            mids = [u for u in _extensions(prefix, ("011", "201"))
                     if 0 < u < m]
             steps.append(("**", mids.index(last) + 1))
         e = prefix
@@ -371,7 +377,7 @@ def _ref_replay_invseq(trace, tree, cls="i7"):
             [e] = [c for s, c in _ref_t1_children_invseq(e, cls)
                    if s == ("**", param)]
         else:
-            mids = [u for u in invseq.extension_values(e, ("011", "201"))
+            mids = [u for u in _extensions(e, ("011", "201"))
                     if 0 < u < m]
             e = e + (mids[param - 1],)
     return e
@@ -772,3 +778,15 @@ def test_unknown_tree_and_empty_sequence_are_refused(one):
             trace_of_invseq((), tree)
     with pytest.raises(ValueError):
         trace_of_invseq((0, 2), "t1")  # not an inversion sequence
+
+
+def test_t1_children_are_the_td_avoiding_reverse_search_children(ctx):
+    """Below every td-avoiding strong class with n <= 6, tree t1 grows
+    exactly the td-avoiding children that the universe's reverse search
+    builds from it.  Tree t2 does not do the same for tu-avoiders."""
+    for n in range(1, 7):
+        for d in ctx.strong_class(n, ("td",)):
+            grown = sorted(strong_key(c) for _, c in t1_children_rect(d))
+            searched = sorted(strong_key(c) for c in universe._children(d)
+                              if not contains(c, "td"))
+            assert grown == searched, d.to_json()

@@ -118,7 +118,8 @@ def test_middle_admissible_values_are_a_run_below_each_minimum():
         for e in invseq.enumerate_invseq(n):
             if not invseq.avoids_all(e, ("011", "201")):
                 continue
-            ext = invseq.extension_values(e, ("011", "201"))
+            ext = [u for u in range(len(e) + 1)
+                   if invseq.avoids_all(e + (u,), ("011", "201"))]
             mins = [e[p - 1] for p in invseq.rtl_minima_positions(e)]
             used = set(e)
             for lo, hi in zip(mins, mins[1:]):
@@ -216,17 +217,6 @@ def test_avoiding_values_matches_the_last_entry_scan():
             for pats in compiled:
                 assert invseq._avoiding_values(e, pats) == \
                     _avoiding_values_by_last_entry(e, pats), (e, pats)
-
-
-def test_extension_values_of_a_containing_prefix_is_empty():
-    assert invseq.extension_values((0, 1, 0), ("010",)) == []
-    assert invseq.extension_values((0, 1, 1), ("011", "201")) == []
-    for e in invseq.enumerate_invseq(5):
-        for pats in (("011", "201"), invseq.CLASS_PATTERNS["i7"]):
-            want = [u for u in range(len(e) + 1)
-                    if invseq.avoids_all(e + (u,), pats)]
-            assert invseq.extension_values(e, pats) == want, (e, pats)
-
 
 
 def test_pruned_class_enumeration_matches_class_check():

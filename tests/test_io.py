@@ -345,6 +345,46 @@ def test_suites_leave_the_shared_class_lists_unchanged(monkeypatch):
             (mode, n, avoid)
 
 
+def test_run_suites_call_every_class_row(monkeypatch):
+    """The suites check every row of the class table that `count` reads."""
+    called = set()
+
+    def recorded(key, fn):
+        def count(n):
+            called.add(key)
+            return fn(n)
+        return count
+
+    for key, (tag, fn) in list(verify.CLASSES.items()):
+        monkeypatch.setitem(verify.CLASSES, key, (tag, recorded(key, fn)))
+    assert all(res.ok for res in verify.run_suites(max_n=4))
+    assert called == set(verify.CLASSES)
+
+
+# The suite that checks each CLASSES row against the universe.
+_ROW_SUITES = {
+    ("weak", 1, False): "catalan",
+    ("strong", 1, False): "a279555",
+    ("weak", 2, False): "elementary",
+    ("strong", 2, False): "a287709",
+    ("weak", 2, True): "elementary",
+    ("strong", 2, True): "elementary",
+    ("weak", 3, True): "elementary",
+    ("strong", 3, True): "elementary",
+    ("weak", 4, True): "elementary",
+    ("strong", 4, True): "elementary",
+}
+
+
+@pytest.mark.parametrize("key", list(_ROW_SUITES),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_a_class_row_off_by_one_fails_its_suite(monkeypatch, key):
+    tag, fn = verify.CLASSES[key]
+    monkeypatch.setitem(verify.CLASSES, key, (tag, lambda n: fn(n) + 1))
+    [res] = verify.run_suites([_ROW_SUITES[key]], max_n=4)
+    assert not res.ok and any(line.startswith("FAIL ") for line in res.lines)
+
+
 def test_run_suites_labels_match_the_golden_file():
     """Every check line of the suites at max_n=6, in order, and all pass:
     a rewritten suite cannot drop or rename a claim unnoticed."""

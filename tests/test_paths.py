@@ -25,13 +25,14 @@ def test_rushed():
     assert [len(paths.rushed_paths(m)) for m in (2, 3, 4)] == [1, 2, 4]
 
 
-def test_rushed_generator_matches_the_filter():
+def test_rushed_generator_matches_the_filter(monkeypatch):
     for m in range(-1, 13):
         assert paths.rushed_paths(m) == \
             [p for p in paths.dyck_paths(m) if paths.is_rushed(p)], m
     with pytest.raises(ValueError):
         paths.rushed_paths(14)
-    assert len(paths.rushed_paths(14, cap=14)) == paths.rushed_count(13)
+    monkeypatch.setattr(paths, "PATH_CAP", 14)
+    assert len(paths.rushed_paths(14)) == paths.rushed_count(13)
 
 
 def test_progressive_counts_match_rushed():
@@ -116,6 +117,18 @@ def test_growth_rates():
                    4 * math.cos(math.pi / (k + 2)) ** 2) < 1e-9
 
 
+def _poly_mul(a, b, order):
+    """The product of two coefficient lists, truncated after x^order."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai and i <= order:
+            for j, bj in enumerate(b):
+                if i + j > order:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
 def test_catalan_series():
     cs = paths.catalan_series(10)
     assert cs[:6] == [0, 1, 2, 5, 14, 42]
@@ -124,9 +137,9 @@ def test_catalan_series():
     order = 30
     r = paths.catalan_series(order)
     x = [0, 1] + [0] * (order - 1)
-    lhs = paths.poly_mul(x, paths.poly_mul(r, r, order), order)
+    lhs = _poly_mul(x, _poly_mul(r, r, order), order)
     two_x_minus_1 = [-1, 2] + [0] * (order - 1)
-    lhs = [a + b for a, b in zip(lhs, paths.poly_mul(two_x_minus_1, r, order))]
+    lhs = [a + b for a, b in zip(lhs, _poly_mul(two_x_minus_1, r, order))]
     lhs = [a + b for a, b in zip(lhs, x)]
     assert all(c == 0 for c in lhs)
 
@@ -140,7 +153,7 @@ def _fixed_point_catalan_series(order):
         head = list(xr)  # x + xR
         if order >= 1:
             head[1] += 1
-        nxt = [a + b for a, b in zip(paths.poly_mul(head, r, order), xr)]
+        nxt = [a + b for a, b in zip(_poly_mul(head, r, order), xr)]
         if order >= 1:
             nxt[1] += 1
         if nxt == r:

@@ -1,4 +1,4 @@
-from rectlab import universe
+from rectlab import patterns, universe
 from rectlab.drawing import make_drawing, reflect, segments_of
 from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
                               is_guillotine, occurrences)
@@ -110,3 +110,25 @@ def test_windmills_match_the_reference(ctx):
         cw, ccw = _ref_windmills(d)
         assert occurrences(d, "wm+") == cw, d
         assert occurrences(d, "wm-") == ccw, d
+
+
+def test_avoids_all_searches_windmills_once_per_drawing(ctx, monkeypatch):
+    """Both chiralities come from one _windmills call; occurrences and
+    contains still find the reference windmills."""
+    drawings = [d for n in range(1, 7) for d in ctx.strong(n)]
+    search = patterns._windmills
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return search(d)
+
+    monkeypatch.setattr(patterns, "_windmills", counted)
+    free = [avoids_all(d, ("wm+", "wm-")) for d in drawings]
+    assert len(calls) == len(drawings)
+    for d, ok in zip(drawings, free):
+        cw, ccw = _ref_windmills(d)
+        assert occurrences(d, "wm+") == cw and occurrences(d, "wm-") == ccw
+        assert contains(d, "wm+") == bool(cw)
+        assert contains(d, "wm-") == bool(ccw)
+        assert ok == (not cw and not ccw), d
