@@ -16,7 +16,10 @@ right-to-left index of the reworked joint for t2; "***" carries None.
 
 On drawings, a replay and a trace each analyse one drawing: the steps in
 between grow or shrink bare box lists, and only the drawing a replay returns
-(or the one a trace reads) goes through the drawing kernel.
+(or the one a trace reads) goes through the drawing kernel.  The traces of
+one level extend those of the level above, so `replay_levels` replays a
+whole level at one step and one drawing per member, growing each member's
+boxes from its parent's.
 """
 
 from __future__ import annotations
@@ -393,6 +396,29 @@ def replay_rect_tracked(trace, tree):
     for t, i in enumerate(perm, 1):  # boxes[t - 1] came with step t
         order[i] = t
     return d, order
+
+
+def replay_levels(tree, n):
+    """Yield, for m = 1..n, {e: drawing} over the level-m sequences e of the
+    tree in lexicographic order (class i7 for t1, I(011,201) for t2), each
+    drawing equal to replay_rect(trace_of_invseq(e, tree), tree).  The traces
+    of a level extend those of the level above, so each member's boxes grow
+    by one step from its parent's, and only the last level's boxes are held."""
+    _check_tree(tree)
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    cls = "i7"
+    level = [((0,), _ROOT)]
+    for m in range(1, n + 1):
+        if m > 1:
+            children = []
+            for e, g in level:
+                ext = _admissible(e, tree, cls)
+                children += [(e + (u,),
+                              _grow(g, tree, _step(e, u, tree, cls, ext)))
+                             for u in ext]
+            level = children
+        yield {e: _drawing(g)[0] for e, g in level}
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,15 @@ def _quad_f(f):
 
 def suite_conjecture_stats(ctx, max_n=7):
     r = CheckResult("conjecture-stats")
+    t1_levels = gentree.replay_levels("t1", max_n)
     for n in range(1, max_n + 1):
+        tau7_inv = _read_level(next(t1_levels), bij.tau7_inv)
         i7 = list(invseq.enumerate_invseq(n, invseq.CLASS_PATTERNS["i7"]))
         yl = list(invseq.enumerate_invseq(n, ("011", "201")))
         image = []
         objwise = True
         for e in i7:
-            f = bij.sigma(reflect(bij.tau7_inv(e), "horizontal"))
+            f = bij.sigma(reflect(tau7_inv(e), "horizontal"))
             image.append(f)
             objwise = objwise and _quad_e(e) == _quad_f(f)
         r.check(f"n={n}: witness map lands bijectively in the target class",
@@ -196,35 +198,63 @@ def _bijective(members, fwd, inv, key, onto=None):
             and (onto is None or sorted(images) == sorted(onto)))
 
 
+def _read_level(level, inv, pre=None):
+    """The map inv after pre (if given) that reads the image of a key of
+    level from level and calls inv only on other keys; inv(k) must equal
+    level[k] for every key k, so the map equals inv wherever inv is
+    defined, and raises where inv raises."""
+    def read(e):
+        k = e if pre is None else pre(e)
+        return level[k] if k in level else inv(k)
+    return read
+
+
 def suite_bijections(ctx, max_n=7, phi_n=9):
+    """The inverse maps replayed along the generating trees read the
+    drawings of gentree.replay_levels, which grows each level once from the
+    one above, in place of one replay from the root per member."""
     r = CheckResult("bijections")
+    t1_levels = gentree.replay_levels("t1", max_n)
+    t2_levels = gentree.replay_levels("t2", max_n)
     for n in range(1, max_n + 1):
+        t1, t2 = next(t1_levels), next(t2_levels)
+        # tau_inv is tau7_inv on the non-decreasing sequences, all in i7
+        mono = {e: d for e, d in t1.items()
+                if all(a <= b for a, b in pairwise(e))}
         wk = ctx.weak_class(n, ("td",))
         r.check(f"n={n}: tau injective, onto, with round trips",
-                _bijective(wk, bij.tau, bij.tau_inv, weak_key,
+                _bijective(wk, bij.tau, _read_level(mono, bij.tau_inv),
+                           weak_key,
                            invseq.enumerate_invseq(n, ("10",))))
         r.check(f"n={n}: delta = direct reading, injective, round trips",
-                _bijective(wk, bij.delta, bij.delta_inv, weak_key)
+                _bijective(wk, bij.delta,
+                           _read_level(mono, bij.tau_inv, bij.epsilon_inv),
+                           weak_key)
                 and all(bij.delta_direct(d) == bij.delta(d) for d in wk))
+        grown = {t: bij.rect_of_tree(t) for t in bij.all_trees(n)}
         r.check(f"n={n}: tree construction round trips",
-                _bijective(wk, bij.tree_of, bij.rect_of_tree, weak_key)
-                and all(not contains(bij.rect_of_tree(t), "td")
-                        for t in bij.all_trees(n)))
+                _bijective(wk, bij.tree_of,
+                           _read_level(grown, bij.rect_of_tree), weak_key)
+                and all(not contains(d, "td") for d in grown.values()))
         allweak = ctx.weak(n)
         r.check(f"n={n}: beta injective on weak classes",
                 len({bij.beta(d) for d in allweak}) == len(allweak))
         st = ctx.strong_class(n, ("td",))
-        for name, fwd, inv, cls in (
-                ("tau7", bij.tau7, bij.tau7_inv, "i7"),
-                ("tau8", bij.tau8, bij.tau8_inv, "i8"),
-                ("tau6", bij.tau6, bij.tau6_inv, "i6")):
+        # tau8_inv and tau6_inv transform their input into i7 for tau7_inv
+        to7 = invseq.transform_8_to_7
+        for name, fwd, pre, cls in (
+                ("tau7", bij.tau7, None, "i7"),
+                ("tau8", bij.tau8, lambda e: to7(tuple(e)), "i8"),
+                ("tau6", bij.tau6,
+                 lambda e: to7(invseq.transform_6_to_8(tuple(e))), "i6")):
             r.check(f"n={n}: {name} bijective with round trips",
-                    _bijective(st, fwd, inv, strong_key,
+                    _bijective(st, fwd, _read_level(t1, bij.tau7_inv, pre),
+                               strong_key,
                                invseq.enumerate_invseq(
                                    n, invseq.CLASS_PATTERNS[cls])))
         r.check(f"n={n}: sigma bijective with round trips",
                 _bijective(ctx.strong_class(n, ("tu",)), bij.sigma,
-                           bij.sigma_inv, strong_key,
+                           _read_level(t2, bij.sigma_inv), strong_key,
                            invseq.enumerate_invseq(n, ("011", "201"))))
         comp = ctx.weak_class(n, ("td", "tu"))
         r.check(f"n={n}: composition reading bijective",

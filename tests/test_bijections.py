@@ -270,6 +270,15 @@ def test_composition_examples(one):
         assert len(comps) == len(members) == 2 ** (n - 1)
 
 
+def test_rect_of_composition_refuses_a_sum_above_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        bij.rect_of_composition([1] * (bij.COMPOSITION_CAP + 1))
+    monkeypatch.setattr(bij, "COMPOSITION_CAP", 5)
+    assert bij.composition_of(bij.rect_of_composition((2, 3))) == (2, 3)
+    with pytest.raises(ValueError, match="sum 6 exceeds the cap 5"):
+        bij.rect_of_composition((3, 3))
+
+
 def test_nw_word_examples(v2, h2, one):
     assert bij.nw_word(v2) == "N"
     assert bij.nw_word(h2) == "W"

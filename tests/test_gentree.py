@@ -9,7 +9,7 @@ from rectlab.drawing import (InvalidDrawing, canonical_drawing,
                              segments_of, size1, strong_key)
 from rectlab.gentree import (ClassError, count_by_tree, level_counts,
                              replay_invseq,
-                             replay_rect, replay_rect_tracked,
+                             replay_levels, replay_rect, replay_rect_tracked,
                              t1_children_invseq, t1_children_rect,
                              t1_type_invseq, t1_type_rect,
                              t2_children_invseq, t2_children_rect,
@@ -763,6 +763,33 @@ def test_replays_keep_the_steps_they_can_take():
         replay_rect([("***", None)], "t1")
     with pytest.raises(ValueError):
         replay_invseq([("***", None)], "t1")
+
+
+_LEVEL_CLASSES = {"t1": invseq.CLASS_PATTERNS["i7"], "t2": ("011", "201")}
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+def test_replay_levels_match_one_replay_per_member(tree):
+    """Each level holds the tree's members in enumeration order, and the
+    drawing of each is the one its trace replays from the root."""
+    seen = 0
+    for n, level in enumerate(replay_levels(tree, 7), 1):
+        assert list(level) == list(
+            invseq.enumerate_invseq(n, _LEVEL_CLASSES[tree]))
+        for e, d in level.items():
+            want = replay_rect(trace_of_invseq(e, tree, "i7"), tree)
+            assert d.to_json() == want.to_json(), e
+        seen += len(level)
+    assert seen == sum(level_counts(tree, 7))
+
+
+def test_replay_levels_refuse_bad_input():
+    with pytest.raises(ValueError, match="unknown tree"):
+        next(replay_levels("t3", 2))
+    for tree in ("t1", "t2"):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                next(replay_levels(tree, n))
 
 
 def test_unknown_tree_and_empty_sequence_are_refused(one):

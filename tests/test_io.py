@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from rectlab import cli, oeis, paths, universe, verify
+from rectlab import bijections as bij
+from rectlab import cli, gentree, oeis, paths, universe, verify
 from rectlab.gentree import count_by_tree
 from rectlab.patterns import avoids_all
 from rectlab.render import render_ascii, render_svg
@@ -286,6 +287,17 @@ def test_cli_count_rejects_a_rushed_size_above_the_cap(capsys):
         assert f"size {n} exceeds the cap {paths.RUSHED_CAP}" in captured.err
 
 
+def test_cli_map_refuses_a_composition_above_the_cap(capsys):
+    # cap + 1 first: a parent without the cap would try to draw 10^8 rects
+    for total in (str(bij.COMPOSITION_CAP + 1), "100000000"):
+        assert cli.main(["map", "--bijection", "comp", "--direction", "inv",
+                         "--values", total]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"composition sum {total} exceeds the cap "
+                f"{bij.COMPOSITION_CAP}") in captured.err
+
+
 def test_cli_map_choices():
     assert sorted(cli._MAPS) == ["beta", "comp", "delta", "nwword", "phi",
                                  "sigma", "tau", "tau6", "tau7", "tau8"]
@@ -383,6 +395,35 @@ def test_a_class_row_off_by_one_fails_its_suite(monkeypatch, key):
     monkeypatch.setitem(verify.CLASSES, key, (tag, lambda n: fn(n) + 1))
     [res] = verify.run_suites([_ROW_SUITES[key]], max_n=4)
     assert not res.ok and any(line.startswith("FAIL ") for line in res.lines)
+
+
+def test_suites_read_the_replayed_levels(monkeypatch):
+    """The round trips through tau, delta, tau7, tau8, tau6 and sigma, and
+    the witness map, read the drawings of gentree.replay_levels: with the
+    first two drawings of level 3 swapped in each tree, exactly their n=3
+    lines fail."""
+    replay_levels = gentree.replay_levels
+
+    def swapped(tree, n):
+        for level in replay_levels(tree, n):
+            if len(next(iter(level))) == 3:
+                a, b = list(level)[:2]
+                level[a], level[b] = level[b], level[a]
+            yield level
+
+    monkeypatch.setattr(gentree, "replay_levels", swapped)
+    bijections, stats = verify.run_suites(["bijections", "conjecture-stats"],
+                                          max_n=4)
+    failed = {line for res in (bijections, stats) for line in res.lines
+              if line.startswith("FAIL ")}
+    assert failed == {f"FAIL n=3: {label}" for label in (
+        "tau injective, onto, with round trips",
+        "delta = direct reading, injective, round trips",
+        "tau7 bijective with round trips",
+        "tau8 bijective with round trips",
+        "tau6 bijective with round trips",
+        "sigma bijective with round trips",
+        "quadruples match object-by-object")}
 
 
 def test_run_suites_labels_match_the_golden_file():
