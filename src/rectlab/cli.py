@@ -12,7 +12,7 @@ import sys
 
 from . import bijections as bij
 from . import gentree, oeis, paths, universe, verify
-from .drawing import from_json
+from .drawing import _json_loads, from_json
 from .patterns import PATTERNS
 from .render import render_ascii, render_svg
 
@@ -49,13 +49,22 @@ def parse_range(text):
     return out
 
 
+# Largest n class_count gives from a verify.CLASSES row: 200, the cap that
+# rushed_count applies to its own row.  The tree dp of the strong one-pattern
+# classes costs about n^3 big-integer steps: 2.1 to 2.3 s to n = 200 on a
+# 2-core Xeon, 23 s more to n = 400.
+COUNT_CAP = paths.RUSHED_CAP
+
+
 def class_count(mode, avoid, n, method="auto", max_n=None, cache_dir=None):
     """(value, tag): the class's verify.CLASSES row under method "auto",
-    else the universe count."""
+    else the universe count.  A row gives sizes up to COUNT_CAP."""
     if n < 1:
         raise UsageError(f"size must be >= 1, got {n}")
     row = verify._class_row(mode, avoid) if method == "auto" else None
     if row is not None:
+        if n > COUNT_CAP:
+            raise ValueError(f"size {n} exceeds the cap {COUNT_CAP}")
         return row[1](n), row[0]
     return (universe.count_class(n, mode, avoid, max_n=max_n,
                                  cache_dir=cache_dir), "universe")
@@ -123,7 +132,7 @@ def _map_input(args):
     if text.startswith("{"):
         return "drawing", from_json(text)
     if text.startswith("["):
-        seq = json.loads(text)
+        seq = _json_loads(text, UsageError)
         if any(type(v) is not int for v in seq):
             raise UsageError("a sequence must be a JSON list of integers")
         return "sequence", tuple(seq)
@@ -210,8 +219,9 @@ def cmd_oeis(args):
         return 3
     ours, tag = {}, "no terms"
     # --max-n bounds the terms compared, not the universe: a class with no
-    # CLASSES row stops at the universe's default cap.  n starts at 1, so the
-    # ValueError caught is a cap, never a UsageError
+    # CLASSES row stops at the universe's default cap, and a class with one
+    # at COUNT_CAP.  n starts at 1, so the ValueError caught is a cap, never
+    # a UsageError
     for n in range(1, args.max_n + 1):
         try:
             ours[n], tag = class_count(mode, avoid, n,

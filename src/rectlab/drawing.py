@@ -20,7 +20,6 @@ Box = tuple[int, int, int, int]  # (x0, y0, x1, y1), y up
 LEFT, RIGHT, ABOVE, BELOW = "L", "R", "A", "B"
 _INVERSE = {LEFT: RIGHT, RIGHT: LEFT, ABOVE: BELOW, BELOW: ABOVE}
 
-ORDERINGS = ("nw-se", "sw-ne", "se-nw", "ne-sw")
 # Characters of relations_of(x, y) that put x before y in each ordering.
 _ORDER_CHARS = {
     "nw-se": (LEFT, ABOVE),
@@ -356,10 +355,19 @@ def _json_int(v, what):
     return v
 
 
+def _json_loads(text, error):
+    """json.loads(text), raising error in place of the RecursionError that
+    input nested deeper than the recursion limit raises."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error("JSON input nested too deeply") from None
+
+
 def from_json(text: str) -> RectDrawing:
     """Decode the JSON wire format; rejects non-integer fields and invalid
     drawings."""
-    obj = json.loads(text)
+    obj = _json_loads(text, InvalidDrawing)
     if not isinstance(obj, dict) or not isinstance(obj.get("rects"), list):
         raise InvalidDrawing('expected an object with "width", "height" '
                              'and a "rects" list')

@@ -29,8 +29,8 @@ import threading
 from typing import NamedTuple
 
 from . import invseq
-from .drawing import (InvalidDrawing, RectDrawing, _kernel, _line_sides,
-                      _merge_runs, _rename_lines, _split_spans,
+from .drawing import (InvalidDrawing, RectDrawing, _json_loads, _kernel,
+                      _line_sides, _merge_runs, _rename_lines, _split_spans,
                       canonical_drawing, make_drawing_with_perm,
                       ne_rect_index)
 from .patterns import contains
@@ -554,8 +554,7 @@ def _next_level(tree, level):
         by_s = {}
         by_k = {}
         for (k, ell), c in level.items():
-            by_s.setdefault(k + ell, {})[k] = \
-                by_s.setdefault(k + ell, {}).get(k, 0) + c
+            by_s.setdefault(k + ell, {})[k] = c
             by_k.setdefault(k, {})[ell] = c
         for s, col in by_s.items():
             suf = 0
@@ -607,7 +606,7 @@ def trace_to_json(trace):
 def trace_from_json(text):
     """The trace written by `trace_to_json`: a list of [rule, int] steps for
     "*" and "**", and [rule] or [rule, null] for "***"."""
-    items = json.loads(text)
+    items = _json_loads(text, ValueError)
     if not isinstance(items, list):
         raise ValueError("a trace is a JSON list of steps")
     out = []

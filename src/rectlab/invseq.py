@@ -34,14 +34,19 @@ def check_invseq(e):
 
 @lru_cache(maxsize=256)
 def _compile(p, initial_range):
-    """(length, comparison table) of the pattern word p.  The table lists
-    (a, b, sign of w[a] - w[b]) for every pair of positions a < b, so a
-    candidate occurrence is tested without re-deriving the word's order."""
+    """(length k, comparison table, its rows within the first k-1 letters,
+    (a, sign) for each comparison of letter a with the last letter) of the
+    pattern word p.  The table lists (a, b, sign of w[a] - w[b]) for every
+    pair of positions a < b, so a candidate occurrence is tested without
+    re-deriving the word's order."""
     w = tuple(int(c) for c in p) if isinstance(p, str) else p
     if initial_range and w and set(w) != set(range(max(w) + 1)):
         raise ValueError(f"pattern {p!r} must use an initial value range")
-    return len(w), tuple((a, b, (w[a] > w[b]) - (w[a] < w[b]))
-                         for a in range(len(w)) for b in range(a + 1, len(w)))
+    k = len(w)
+    table = tuple((a, b, (w[a] > w[b]) - (w[a] < w[b]))
+                  for a in range(k) for b in range(a + 1, k))
+    return (k, table, tuple(row for row in table if row[1] < k - 1),
+            tuple((a, sign) for a, b, sign in table if b == k - 1))
 
 
 def _pattern(p, initial_range=True):
@@ -61,7 +66,7 @@ def _any_match(table, occurrences) -> bool:
 
 
 def _has_relorder_match(e, pat) -> bool:
-    k, table = pat
+    k, table = pat[:2]
     return k <= len(e) and _any_match(table, combinations(e, k))
 
 
@@ -81,15 +86,6 @@ def avoids_all(e, pats) -> bool:
     return not any(contains_pattern(e, p) for p in pats)
 
 
-@lru_cache(maxsize=256)
-def _split(pat):
-    """The compiled pattern as (k, table of its first k-1 letters, (a, sign)
-    for each comparison of letter a with the last letter)."""
-    k, table = pat
-    return (k, tuple(row for row in table if row[1] < k - 1),
-            tuple((a, sign) for a, b, sign in table if b == k - 1))
-
-
 def _avoiding_values(prefix, pats):
     """Values v such that prefix + (v,) is an inversion sequence avoiding
     the compiled patterns, given that the prefix avoids them: every
@@ -99,7 +95,7 @@ def _avoiding_values(prefix, pats):
     top = len(prefix)
     allowed = [True] * (top + 1)
     for pat in pats:
-        k, head, last = _split(pat)
+        k, _, head, last = pat
         if k == 0:
             return []
         for vals in set(combinations(prefix, k - 1)):
@@ -244,17 +240,21 @@ def _map_areas(e, f):
     return tuple(out)
 
 
+def _reflect_area(body, v0, v1):
+    return [v0 + v1 - v for v in body]
+
+
 def transform_7_to_8(e):
     """Reflect every active area vertically, sparing its first column."""
     if not class_check(e, "i7"):
         raise ValueError(f"{e} is not in the weakly-decreasing-area class")
-    return _map_areas(e, lambda body, v0, v1: [v0 + v1 - v for v in body])
+    return _map_areas(e, _reflect_area)
 
 
 def transform_8_to_7(e):
     if not class_check(e, "i8"):
         raise ValueError(f"{e} is not in the weakly-increasing-area class")
-    return _map_areas(e, lambda body, v0, v1: [v0 + v1 - v for v in body])
+    return _map_areas(e, _reflect_area)
 
 
 def transform_8_to_6(e):

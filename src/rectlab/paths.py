@@ -15,7 +15,7 @@ import threading
 from .drawing import (RectDrawing, heap_order, linear_extension,
                       strip_drawing)
 from .gentree import ClassError
-from .patterns import contains
+from .patterns import avoids_all
 
 
 def is_dyck(word: str) -> bool:
@@ -61,14 +61,6 @@ def initial_rise(word: str) -> int:
             break
         n += 1
     return n
-
-
-def height(word: str) -> int:
-    h = best = 0
-    for ch in word:
-        h += 1 if ch == "U" else -1
-        best = max(best, h)
-    return best
 
 
 def is_rushed(word: str) -> bool:
@@ -154,7 +146,7 @@ def phi_inv(d: RectDrawing) -> str:
     """Rushed path of a drawing avoiding left- and right-pointing joints:
     pieces are the unit verticals; repeatedly take the highest piece whose
     forced-left predecessors are all placed."""
-    if contains(d, "tr") or contains(d, "tl"):
+    if not avoids_all(d, ("tr", "tl")):
         raise ClassError("drawing has a horizontal segment not spanning W to E")
     pieces, prec = heap_order(d, "v")
     h = d.height + 1
@@ -255,9 +247,11 @@ def gk_series(k: int, order: int):
 
 
 # Largest n rushed_count computes.  It extends the series of 1/q_{k+1} for
-# every height k <= n, about n^3 big-integer steps: n = 400 takes one to two
-# seconds, and each doubling of n costs about 8 times more.
-RUSHED_CAP = 400
+# every height k <= n, about n^3 big-integer steps: n = 200 takes 0.2 s on a
+# 2-core Xeon, and each doubling of n costs about 8 times more.  It is also
+# cli.COUNT_CAP, the largest n counted from any class-table row, so that
+# every row, this one included, refuses the same sizes.
+RUSHED_CAP = 200
 
 
 def rushed_count(n: int) -> int:

@@ -22,8 +22,9 @@ R.  The inverse operations build the children of a parent P:
 
 Every child goes through make_drawing, with all its structural checks, and
 a class built twice raises, so the uniqueness the search relies on is
-checked on every run.  tests/test_drawing.py keeps a grid-tiling DFS that
-dedupes by key as the oracle this generator is tested against.
+checked on every run.  tests/test_universe.py keeps a grid-tiling DFS that
+dedupes by key (_dfs_strong, over the tilings of test_drawing._ref_tilings)
+as the oracle this generator is tested against.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def _next_level(parents):
     return [reps[k] for k in sorted(reps)]
 
 
-def _check_cap(n, max_n):
+def _load_or_build(mode, n, max_n, cache_dir, build):
+    """The level of this mode and size, read from the cache when there, else
+    build() stored in it; n must lie in 1..max_n (DEFAULT_MAX_N if None)."""
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -130,22 +133,22 @@ def _check_cap(n, max_n):
         raise ValueError(
             f"size {n} exceeds the enumeration cap {cap}; "
             "pass max_n explicitly to raise it")
+    out = _cache_load(cache_dir, n, mode)
+    if out is None:
+        out = build()
+        _cache_store(cache_dir, n, mode, out)
+    return out
 
 
 def enumerate_strong(n, *, max_n=None, cache_dir=None):
     """One canonical drawing per strong class of size n, sorted by key;
     built from the classes of size n - 1 (read from the cache when there)."""
-    _check_cap(n, max_n)
-    cached = _cache_load(cache_dir, n, "strong")
-    if cached is not None:
-        return cached
-    if n == 1:
-        out = [size1()]
-    else:
-        out = _next_level(enumerate_strong(n - 1, max_n=max_n,
-                                           cache_dir=cache_dir))
-    _cache_store(cache_dir, n, "strong", out)
-    return out
+    def build():
+        if n == 1:
+            return [size1()]
+        return _next_level(enumerate_strong(n - 1, max_n=max_n,
+                                            cache_dir=cache_dir))
+    return _load_or_build("strong", n, max_n, cache_dir, build)
 
 
 def weak_classes(strong):
@@ -159,13 +162,8 @@ def weak_classes(strong):
 
 def enumerate_weak(n, *, max_n=None, cache_dir=None):
     """One representative per weak class of size n (first strong rep wins)."""
-    _check_cap(n, max_n)
-    cached = _cache_load(cache_dir, n, "weak")
-    if cached is not None:
-        return cached
-    out = weak_classes(enumerate_strong(n, max_n=max_n, cache_dir=cache_dir))
-    _cache_store(cache_dir, n, "weak", out)
-    return out
+    return _load_or_build("weak", n, max_n, cache_dir, lambda: weak_classes(
+        enumerate_strong(n, max_n=max_n, cache_dir=cache_dir)))
 
 
 def enumerate_class(n, mode, avoid=(), *, max_n=None, cache_dir=None):

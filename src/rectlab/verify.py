@@ -105,6 +105,14 @@ class _Ctx:
         return self._class("weak", n, avoid)
 
 
+# Sizes of the checks that max_n leaves alone (see run_suites).
+PHI_N = 9
+RESTRICTED_N = 8
+SERIES_ORDER = 100
+STRIP_ORDER = 30
+MAX_K = 8
+
+
 def suite_catalan(ctx, max_n=6):
     r = CheckResult("catalan")
     want = [_row_count("weak", ("td",), n) for n in range(1, max_n + 1)]
@@ -209,7 +217,7 @@ def _read_level(level, inv, pre=None):
     return read
 
 
-def suite_bijections(ctx, max_n=7, phi_n=9):
+def suite_bijections(ctx, max_n=7):
     """The inverse maps replayed along the generating trees read the
     drawings of gentree.replay_levels, which grows each level once from the
     one above, in place of one replay from the root per member."""
@@ -266,7 +274,7 @@ def suite_bijections(ctx, max_n=7, phi_n=9):
                            bij.rect_of_nw_word, strong_key))
     # phi(phi_inv(d)) on every universe representative d is checked in
     # suite_a287709
-    for m in range(2, phi_n + 2):
+    for m in range(2, PHI_N + 2):
         r.check(f"semilength {m}: phi round trips on all rushed paths",
                 _bijective(paths.rushed_paths(m), paths.phi, paths.phi_inv,
                            lambda p: p))
@@ -324,7 +332,7 @@ def suite_stats_props(ctx, max_n=7):
     return r
 
 
-def suite_a287709(ctx, max_n=9, cross_n=7, restricted_n=8):
+def suite_a287709(ctx, max_n=9):
     r = CheckResult("a287709")
     r.check("hand-derived counts 1,2,4 at n=1..3",
             [universe.count_strip_class(n) for n in (1, 2, 3)] == [1, 2, 4])
@@ -335,7 +343,7 @@ def suite_a287709(ctx, max_n=9, cross_n=7, restricted_n=8):
         r.check(f"n={n}: class count {cnt} = rushed = progressive",
                 cnt == rushed == prog
                 == _row_count("strong", ("tr", "tl"), n))
-        if n <= cross_n:
+        if n <= universe.DEFAULT_MAX_N:  # the largest default universe
             members = ctx.strong_class(n, ("tr", "tl"))
             r.check(f"n={n}: strip oracle agrees with the universe",
                     cnt == len(members))
@@ -346,7 +354,7 @@ def suite_a287709(ctx, max_n=9, cross_n=7, restricted_n=8):
                     strong_key(paths.phi(p)) == strong_key(d)
             r.check(f"n={n}: phi_inv is rushed and inverts phi on every "
                     "universe representative", ok)
-    for n in range(1, restricted_n + 1):
+    for n in range(1, RESTRICTED_N + 1):
         rushed = len(paths.rushed_paths(n + 1))
         i7 = invseq.enumerate_invseq(n, invseq.CLASS_PATTERNS["i7"])
         a = sum(1 for e in i7 if invseq.all_ltr_maxima_high(e))
@@ -357,20 +365,21 @@ def suite_a287709(ctx, max_n=9, cross_n=7, restricted_n=8):
     return r
 
 
-def suite_series(ctx, order=100, strip_order=30, max_k=8):
+def suite_series(ctx):
     r = CheckResult("series")
-    cs = paths.catalan_series(order)
-    r.check(f"fixed-point series matches the closed form to {order} terms",
-            cs[1:] == [paths.catalan(n) for n in range(1, order + 1)])
+    cs = paths.catalan_series(SERIES_ORDER)
+    r.check(f"fixed-point series matches the closed form to {SERIES_ORDER} "
+            "terms",
+            cs[1:] == [paths.catalan(n) for n in range(1, SERIES_ORDER + 1)])
     printed = {1: [1, -1], 2: [1, -2], 3: [1, -3, 1], 4: [1, -4, 3],
                5: [1, -5, 6, -1], 6: [1, -6, 10, -4]}
     r.check("denominators of g_1..g_6 match the printed factorizations",
             all(paths.q_poly(k + 1) == printed[k] for k in printed))
-    for k in range(1, max_k + 1):
-        g = paths.gk_series(k, strip_order)
+    for k in range(1, MAX_K + 1):
+        g = paths.gk_series(k, STRIP_ORDER)
         ok = all(g[n] == paths.strip_path_count(2 * n - k, k)
-                 for n in range(k, strip_order + 1))
-        r.check(f"k={k}: series equals strip counts to {strip_order} terms",
+                 for n in range(k, STRIP_ORDER + 1))
+        r.check(f"k={k}: series equals strip counts to {STRIP_ORDER} terms",
                 ok)
         err = abs(paths.growth_rate(k) - paths.reference_growth_rate(k))
         r.check(f"k={k}: growth rate within 1e-9 ({err:.2e})", err < 1e-9)
@@ -440,7 +449,10 @@ SUITES = {
 def run_suites(names=None, max_n=None, cache_dir=None):
     """Run the named suites (all by default).  max_n, for quick runs, lowers
     the max_n cap of every suite that has one and never raises it: a suite
-    runs at min(max_n, its default cap).  Its other sizes stay."""
+    runs at min(max_n, its default cap).  Its other sizes stay.  A max_n
+    below 1 is refused."""
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     ctx = _Ctx(cache_dir=cache_dir)
     results = []
     for name in names or SUITES:

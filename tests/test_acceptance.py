@@ -28,7 +28,7 @@ def test_criterion_3_conjecture_statistics(ctx):
 
 
 def test_criterion_4_bijection_well_formedness(ctx):
-    _run("bijections", ctx, max_n=7, phi_n=9)
+    _run("bijections", ctx, max_n=7)
 
 
 def test_criterion_5_direct_equals_trace(ctx):
@@ -44,11 +44,11 @@ def test_criterion_7_statistics_propositions(ctx):
 
 
 def test_criterion_8_a287709(ctx):
-    _run("a287709", ctx, max_n=9, cross_n=7, restricted_n=8)
+    _run("a287709", ctx, max_n=9)
 
 
 def test_criterion_9_series(ctx):
-    _run("series", ctx, order=100, strip_order=30, max_k=8)
+    _run("series", ctx)
 
 
 def test_criterion_10_elementary_classes(ctx):

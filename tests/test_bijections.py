@@ -279,6 +279,15 @@ def test_rect_of_composition_refuses_a_sum_above_the_cap(monkeypatch):
         bij.rect_of_composition((3, 3))
 
 
+def test_rect_of_nw_word_refuses_a_word_above_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        bij.rect_of_nw_word("N" * (bij.NW_WORD_CAP + 1))
+    monkeypatch.setattr(bij, "NW_WORD_CAP", 5)
+    assert bij.nw_word(bij.rect_of_nw_word("NWNWN")) == "NWNWN"
+    with pytest.raises(ValueError, match="length 6 exceeds the cap 5"):
+        bij.rect_of_nw_word("NWNWNW")
+
+
 def test_nw_word_examples(v2, h2, one):
     assert bij.nw_word(v2) == "N"
     assert bij.nw_word(h2) == "W"

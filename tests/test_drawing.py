@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectlab import universe
 from rectlab.drawing import (InvalidDrawing, RectDrawing, Segment,
@@ -139,6 +142,32 @@ def test_from_json_reports_every_violation(rects, width, height):
 def test_from_json_accepts_integer_fields_only(text):
     with pytest.raises(InvalidDrawing):
         from_json(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.sampled_from(["width", "height", "rects", "x"]),
+                      kids, max_size=4),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(_json_values, st.integers(0, 3 * sys.getrecursionlimit()),
+       st.sampled_from(["bare", "rects", "rect"]))
+def test_from_json_decodes_or_refuses_any_json(value, depth, where):
+    """Any JSON text, nested deeper than the recursion limit or not, gives a
+    valid drawing or an InvalidDrawing."""
+    deep = "[" * depth + json.dumps(value) + "]" * depth
+    text = {"bare": deep,
+            "rects": f'{{"width": 1, "height": 1, "rects": {deep}}}',
+            "rect": f'{{"width": 1, "height": 1, "rects": [{deep}]}}'}[where]
+    try:
+        d = from_json(text)
+    except InvalidDrawing:
+        return
+    assert validate(d) == [] and from_json(d.to_json()) == d
 
 
 def test_validate_checks_rect_count_before_the_cover_grid():

@@ -197,7 +197,7 @@ def _avoiding_values_by_last_entry(prefix, pats):
     """For each value v, look for an occurrence that ends at v among all
     (k-1)-subsequences of the prefix."""
     def ends_in_match(e, pat):
-        k, table = pat
+        k, table = pat[:2]
         if k == 0:
             return True
         return k <= len(e) and invseq._any_match(

@@ -3,11 +3,12 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rectlab import bijections as bij
 from rectlab import cli, gentree, oeis, paths, universe, verify
 from rectlab.gentree import count_by_tree
-from rectlab.patterns import avoids_all
+from rectlab.patterns import PATTERNS, avoids_all
 from rectlab.render import render_ascii, render_svg
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -296,6 +297,85 @@ def test_cli_map_refuses_a_composition_above_the_cap(capsys):
         assert captured.out == ""
         assert (f"composition sum {total} exceeds the cap "
                 f"{bij.COMPOSITION_CAP}") in captured.err
+
+
+def test_cli_map_refuses_a_nw_word_above_the_cap(capsys):
+    # cap + 1 first: a parent without the cap would draw 10^5 + 1 rects
+    for length in (bij.NW_WORD_CAP + 1, 100000):
+        assert cli.main(["map", "--bijection", "nwword", "--direction", "inv",
+                         "--word", "N" * length]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"word length {length} exceeds the cap "
+                f"{bij.NW_WORD_CAP}") in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["render"], ["trace", "--tree", "t1"],
+    ["trace", "--tree", "t2", "--replay"],
+    ["map", "--bijection", "tau", "--direction", "inv"]])
+def test_cli_refuses_json_nested_too_deeply(capsys, tmp_path, argv):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000)
+    _assert_refused(capsys, [*argv, "--input", str(f)])
+
+
+# One spec per CLASSES row.
+@pytest.mark.parametrize("cls", [
+    "weak:avoid=td", "strong:avoid=td", "weak:avoid=td,tu",
+    "strong:avoid=tr,tl", "weak:avoid=td,tr", "strong:avoid=tu,tl",
+    "weak:avoid=td,tu,tr", "strong:avoid=tu,tr,tl", "weak:avoid=td,tu,tr,tl",
+    "strong:avoid=td,tu,tr,tl"])
+def test_cli_count_refuses_a_size_above_the_cap(capsys, cls):
+    # cap + 1 first: a parent without the cap would run the tree dp to 10^10
+    for n in (str(cli.COUNT_CAP + 1), "10000000000"):
+        assert cli.main(["count", "--class", cls, "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"size {n} exceeds the cap {cli.COUNT_CAP}" in captured.err
+
+
+def test_cli_oeis_stops_at_the_count_cap(capsys, tmp_path):
+    (tmp_path / "oeis").mkdir()
+    (tmp_path / "oeis" / "b000108.txt").write_text("".join(
+        f"{n} {paths.catalan(n)}\n" for n in range(cli.COUNT_CAP + 51)))
+    assert cli.main(["oeis", "--id", "A000108", "--class", "weak:avoid=td",
+                     "--max-n", str(cli.COUNT_CAP + 50), "--offline",
+                     "--cache-dir", str(tmp_path)]) == 0
+    assert (f"checked {cli.COUNT_CAP} terms, 0 mismatches"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [["--suite", "a279555", "--max-n", "0"],
+                                  ["--max-n", "-3"]])
+def test_cli_verify_refuses_a_max_n_below_one(capsys, argv):
+    _assert_refused(capsys, ["verify", *argv])
+
+
+_SPEC_PARTS = st.sampled_from(["weak", "strong", ":", "avoid", "=", ",",
+                               "td", "tu", "tr", "tl", "wm+", "wm-", "x"])
+
+
+@given(st.text() | st.lists(_SPEC_PARTS).map("".join))
+def test_parse_class_spec_gives_a_class_or_refuses(text):
+    try:
+        mode, avoid = cli.parse_class_spec(text)
+    except ValueError:
+        return
+    assert mode in ("weak", "strong") and avoid <= set(PATTERNS)
+    assert cli.parse_class_spec(
+        f"{mode}:avoid={','.join(sorted(avoid))}") == (mode, avoid)
+
+
+@given(st.text() | st.from_regex(r"[+-]?\d{1,4}(\.\.[+-]?\d{1,4})?",
+                                 fullmatch=True))
+def test_parse_range_gives_a_nonempty_range_or_refuses(text):
+    try:
+        got = cli.parse_range(text)
+    except ValueError:
+        return
+    lo, sep, hi = text.partition("..")
+    assert got == range(int(lo), int(hi if sep else lo) + 1) and got
 
 
 def test_cli_map_choices():

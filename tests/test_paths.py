@@ -59,10 +59,18 @@ def test_phi_round_trips():
             assert strong_key(paths.phi(paths.phi_inv(d))) == strong_key(d)
 
 
+def _height(word):
+    h = best = 0
+    for ch in word:
+        h += 1 if ch == "U" else -1
+        best = max(best, h)
+    return best
+
+
 def test_phi_height_bookkeeping():
     for m in range(2, 11):
         for p in paths.rushed_paths(m):
-            k = paths.height(p) - 1
+            k = _height(p) - 1
             d = paths.phi(p)
             assert d.height - 1 == k - 1  # k-1 horizontal segments
 
