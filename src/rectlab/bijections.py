@@ -142,20 +142,30 @@ def tree_to_seq(t):
 
 
 def tree_image_levels(n):
-    """Yield [tree_to_seq(t) for t in all_trees(m)] for m = 0..n in turn,
-    each built from the images of the smaller sizes: for each split, the
-    right-hand images are shifted once, and each image is one concatenation
-    of a root-and-left head with a shifted tail.  The later levels are built
-    from the lists yielded, so a caller must not reorder them."""
-    levels = [[()]]
+    """Yield [bytes(tree_to_seq(t)) for t in all_trees(m)] for m = 0..n in
+    turn, each built from the images of the smaller sizes: for each split,
+    the right-hand images are shifted once, and each image is one
+    concatenation of a root-and-left head with a shifted tail.  The later
+    levels are built from the lists yielded, so a caller must not reorder
+    them.
+
+    Images are bytes, not tuples: a level of n = 12 holds 208,012 of them,
+    and bytes take a fraction of a tuple's memory and compare in C.  bytes()
+    is injective on sequences with entries in 0..255, so two images are
+    equal as bytes iff they are equal as tuples.  A tail is shifted by up to
+    n, which a byte table holds for n <= 255 only, so a larger n is
+    refused."""
+    if n > 255:
+        raise ValueError(f"size {n} exceeds 255: images are bytes")
+    levels = [[b""]]
     yield levels[0]
     for m in range(1, n + 1):
         level = []
         for i in range(m):  # i nodes on the left
-            tails = [tuple(map((i + 1).__add__, s))
-                     for s in levels[m - 1 - i]]
+            shift = bytes(range(i + 1, 256)) + bytes(range(i + 1))
+            tails = [s.translate(shift) for s in levels[m - 1 - i]]
             for s in levels[i]:
-                head = (0,) + s
+                head = b"\0" + s
                 level += [head + tail for tail in tails]
         levels.append(level)
         yield level

@@ -50,9 +50,7 @@ def parse_range(text):
 
 
 # Largest n class_count gives from a verify.CLASSES row: 200, the cap that
-# rushed_count applies to its own row.  The tree dp of the strong one-pattern
-# classes costs about n^3 big-integer steps: 2.1 to 2.3 s to n = 200 on a
-# 2-core Xeon, 23 s more to n = 400.
+# rushed_count and the tree DP (gentree.LEVEL_CAP) apply to their own rows.
 COUNT_CAP = paths.RUSHED_CAP
 
 

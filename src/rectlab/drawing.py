@@ -351,8 +351,15 @@ def make_drawing_with_perm(width, height, boxes):
 
 def _json_int(v, what):
     if type(v) is not int:  # bool is a subclass of int
-        raise InvalidDrawing(f"{what} must be an integer, got {v!r}")
+        raise InvalidDrawing(f"{what} must be an integer, got {_brief(v)}")
     return v
+
+
+def _brief(v):
+    """repr(v) cut to its first 80 characters, so that an error message
+    about one item of a large input does not echo the item whole."""
+    r = repr(v)
+    return r if len(r) <= 80 else r[:80] + "..."
 
 
 def _json_loads(text, error):
@@ -374,7 +381,8 @@ def from_json(text: str) -> RectDrawing:
     boxes = []
     for r in obj["rects"]:
         if not isinstance(r, list) or len(r) != 4:
-            raise InvalidDrawing(f"rect {r!r} must be a list of 4 integers")
+            raise InvalidDrawing(f"rect {_brief(r)} must be a list of 4 "
+                                 "integers")
         boxes.append(tuple(_json_int(v, "rect coordinate") for v in r))
     d = RectDrawing(_json_int(obj.get("width"), "width"),
                     _json_int(obj.get("height"), "height"), tuple(boxes))
@@ -496,16 +504,28 @@ def _extension_ranks(runs):
             break
     else:
         return ranks  # neighbours overlap: the forced order is a chain
-    before = _forced_before(runs)
     order = sorted(range(m), key=runs.__getitem__)  # lowest span first
+    for rank, j in enumerate(_extension(runs, order), 1):
+        ranks[j + 1] = rank
+    return ranks
+
+
+def _extension(runs, prefer):
+    """Indices of the pieces with these (lo, hi) spans in axis order, in the
+    linear extension of their forced order that takes, at each step, the
+    first piece in prefer (a list of all the indices) whose forced
+    predecessors are all taken: linear_extension over heap_order's pieces,
+    with one bitmask test per candidate in place of a set probe per pair."""
+    before = _forced_before(runs)
     taken = 0
-    for rank in range(1, m + 1):
-        for j in order:
+    out = []
+    for _ in prefer:
+        for j in prefer:
             if not taken >> j & 1 and not before[j] & ~taken:
                 break
         taken |= 1 << j
-        ranks[j + 1] = rank
-    return ranks
+        out.append(j)
+    return out
 
 
 def _rename_lines(width, rects, spans):

@@ -29,9 +29,9 @@ import threading
 from typing import NamedTuple
 
 from . import invseq
-from .drawing import (InvalidDrawing, RectDrawing, _json_loads, _kernel,
-                      _line_sides, _merge_runs, _rename_lines, _split_spans,
-                      canonical_drawing, make_drawing_with_perm,
+from .drawing import (InvalidDrawing, RectDrawing, _brief, _json_loads,
+                      _kernel, _line_sides, _merge_runs, _rename_lines,
+                      _split_spans, canonical_drawing, make_drawing_with_perm,
                       ne_rect_index)
 from .patterns import contains
 
@@ -571,11 +571,21 @@ def _next_level(tree, level):
     return nxt
 
 
+# Deepest level the DP computes.  Level m costs about m^2 big-integer steps,
+# so the DP to n costs about n^3: 2.1 to 2.3 s to n = 200 on a 2-core Xeon,
+# 23 s more to n = 400, and every level stays in the shared record.  It is
+# also paths.RUSHED_CAP and so cli.COUNT_CAP, the largest n counted from any
+# class-table row.
+LEVEL_CAP = 200
+
+
 def _levels(tree, n):
     """The shared list of level counts of the tree, extended to reach n."""
     _check_tree(tree)
     if n < 1:
         raise ValueError("level must be >= 1")
+    if n > LEVEL_CAP:
+        raise ValueError(f"level {n} exceeds the cap {LEVEL_CAP}")
     with _LEVELS_LOCK:
         rec = _LEVELS.setdefault(tree, [[1], {(1, 0): 1}])
         counts = rec[0]
@@ -617,6 +627,6 @@ def trace_from_json(text):
                     rule in (STAR, DSTAR) and type(param) is int):
                 out.append((rule, param))
                 continue
-        raise ValueError(f"bad trace step {item!r}: expected [\"*\", int], "
-                         f"[\"**\", int] or [\"***\"]")
+        raise ValueError(f"bad trace step {_brief(item)}: expected "
+                         f"[\"*\", int], [\"**\", int] or [\"***\"]")
     return out

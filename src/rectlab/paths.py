@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import threading
 
-from .drawing import (RectDrawing, heap_order, linear_extension,
-                      strip_drawing)
-from .gentree import ClassError
+from .drawing import RectDrawing, _extension, _line_spans, strip_drawing
+from .gentree import LEVEL_CAP, ClassError
 from .patterns import avoids_all
 
 
@@ -148,13 +147,14 @@ def phi_inv(d: RectDrawing) -> str:
     forced-left predecessors are all placed."""
     if not avoids_all(d, ("tr", "tl")):
         raise ClassError("drawing has a horizontal segment not spanning W to E")
-    pieces, prec = heap_order(d, "v")
+    v, _ = _line_spans(d)
     h = d.height + 1
     out = ["U" * h]
     alt = h
-    for i in linear_extension(pieces, prec, key=lambda p: -p.lo):
-        out.append("D" * (alt - pieces[i].lo) + "U")
-        alt = pieces[i].lo + 1
+    for i in _extension(v, sorted(range(len(v)), key=lambda i: -v[i][0])):
+        lo = v[i][0]
+        out.append("D" * (alt - lo) + "U")
+        alt = lo + 1
     out.append("D" * alt)
     return "".join(out)
 
@@ -248,10 +248,11 @@ def gk_series(k: int, order: int):
 
 # Largest n rushed_count computes.  It extends the series of 1/q_{k+1} for
 # every height k <= n, about n^3 big-integer steps: n = 200 takes 0.2 s on a
-# 2-core Xeon, and each doubling of n costs about 8 times more.  It is also
-# cli.COUNT_CAP, the largest n counted from any class-table row, so that
-# every row, this one included, refuses the same sizes.
-RUSHED_CAP = 200
+# 2-core Xeon, and each doubling of n costs about 8 times more.  It is the
+# tree DP's cap and also cli.COUNT_CAP, the largest n counted from any
+# class-table row, so that every row, this one included, refuses the same
+# sizes.
+RUSHED_CAP = LEVEL_CAP
 
 
 def rushed_count(n: int) -> int:

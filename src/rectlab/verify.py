@@ -142,6 +142,8 @@ def _count_if_distinct(items):
 
 def suite_a279555(ctx, max_n=7, dp_n=100):
     r = CheckResult("a279555")
+    # first, so that a dp_n above gentree.LEVEL_CAP is refused before any work
+    t1 = gentree.level_counts("t1", dp_n)
     hand = [1, 2, 5, 15]
     r.check("first terms 1,2,5,15", gentree.level_counts("t1", 4) == hand)
     for n in range(1, max_n + 1):
@@ -156,7 +158,6 @@ def suite_a279555(ctx, max_n=7, dp_n=100):
         vals["I(011,201)"] = invseq.count_invseq(n, ("011", "201"))
         bad = {k: v for k, v in vals.items() if v != ref}
         r.check(f"n={n}: all seven counts equal {ref}", not bad)
-    t1 = gentree.level_counts("t1", dp_n)
     r.check(f"t1 and t2 level counts agree to n={dp_n}",
             t1 == gentree.level_counts("t2", dp_n))
     return r

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rectlab import bijections as bij
-from rectlab import invseq, universe
+from rectlab import invseq, universe, verify
 from rectlab.drawing import (boundary_touch_counts, is_diagonal, make_drawing,
                              reflect, strong_key, weak_key)
 from rectlab.gentree import ClassError, replay_rect_tracked, trace_of_rect
@@ -154,7 +156,26 @@ def test_all_trees_matches_the_recursive_generator():
 def test_tree_images_match_tree_to_seq():
     for n in range(11):
         assert list(bij.tree_image_levels(n))[n] == \
-            [bij.tree_to_seq(t) for t in bij.all_trees(n)]
+            [bytes(bij.tree_to_seq(t)) for t in bij.all_trees(n)]
+
+
+def test_tree_images_refuse_entries_past_a_byte():
+    with pytest.raises(ValueError):
+        next(bij.tree_image_levels(256))
+
+
+def test_tree_image_distinctness_check_stays_small():
+    """The catalan suite's distinctness check over the images with n <= 11
+    peaks well below the 11.5 MB that tuples of ints took."""
+    tracemalloc.start()
+    try:
+        levels = bij.tree_image_levels(11)
+        assert [verify._count_if_distinct(images) for images in levels] == \
+            [catalan(n) for n in range(12)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def _ref_rect_of_tree(t):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectlab import gentree, invseq, universe
+from rectlab import gentree, invseq, universe, verify
 from rectlab.drawing import (InvalidDrawing, canonical_drawing,
                              make_drawing_with_perm, ne_rect_index,
                              segments_of, size1, strong_key)
@@ -241,7 +241,15 @@ def test_count_by_tree_rejects_bad_input_before_any_work():
     for n in (0, -3):
         with pytest.raises(ValueError):
             count_by_tree("t1", n)
-    assert gentree._LEVELS == {}
+    ctx = verify._Ctx()
+    for tree in gentree.TREES:
+        with pytest.raises(ValueError, match="exceeds the cap 200"):
+            count_by_tree(tree, 201)
+        with pytest.raises(ValueError, match="exceeds the cap 200"):
+            level_counts(tree, 201)
+    with pytest.raises(ValueError, match="exceeds the cap 200"):
+        verify.suite_a279555(ctx, dp_n=201)
+    assert gentree._LEVELS == {} and ctx._strong == {}
 
 
 def test_tree_counts_match_universe():

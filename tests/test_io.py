@@ -320,6 +320,26 @@ def test_cli_refuses_json_nested_too_deeply(capsys, tmp_path, argv):
     _assert_refused(capsys, [*argv, "--input", str(f)])
 
 
+_ONE_HUGE_ITEM = {
+    "rect": '{"width": 1, "height": 1, "rects": [HUGE]}',
+    "coordinate": '{"width": 1, "height": 1, "rects": [[0, 0, 1, HUGE]]}',
+    "width": '{"width": HUGE, "height": 1, "rects": []}',
+    "trace step": '[["*", HUGE]]'}
+
+
+@pytest.mark.parametrize("item", sorted(_ONE_HUGE_ITEM))
+def test_cli_error_line_stays_short_for_one_huge_item(capsys, tmp_path, item):
+    f = tmp_path / "huge.json"
+    f.write_text(_ONE_HUGE_ITEM[item].replace(
+        "HUGE", "[" + ", ".join(["0"] * 10 ** 6) + "]"))
+    argv = (["trace", "--tree", "t1", "--replay"] if item == "trace step"
+            else ["render"])
+    assert cli.main([*argv, "--input", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err) < 1024
+
+
 # One spec per CLASSES row.
 @pytest.mark.parametrize("cls", [
     "weak:avoid=td", "strong:avoid=td", "weak:avoid=td,tu",

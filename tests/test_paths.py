@@ -6,7 +6,8 @@ import threading
 import pytest
 
 from rectlab import paths, universe
-from rectlab.drawing import strong_key, validate
+from rectlab.drawing import (heap_order, linear_extension, strong_key,
+                             validate)
 from rectlab.gentree import ClassError
 from rectlab.patterns import contains
 
@@ -57,6 +58,25 @@ def test_phi_round_trips():
             assert not contains(d, "tr") and not contains(d, "tl")
             assert paths.phi_inv(d) == p
             assert strong_key(paths.phi(paths.phi_inv(d))) == strong_key(d)
+
+
+def _ref_phi_inv(d):
+    """phi_inv through the public heap order and its set-based extension."""
+    pieces, prec = heap_order(d, "v")
+    alt = d.height + 1
+    out = ["U" * alt]
+    for i in linear_extension(pieces, prec, key=lambda p: -p.lo):
+        out.append("D" * (alt - pieces[i].lo) + "U")
+        alt = pieces[i].lo + 1
+    out.append("D" * alt)
+    return "".join(out)
+
+
+def test_phi_inv_matches_the_heap_order_extension():
+    for m in range(2, 11):
+        for p in paths.rushed_paths(m):
+            d = paths.phi(p)
+            assert paths.phi_inv(d) == _ref_phi_inv(d), p
 
 
 def _height(word):
