@@ -12,8 +12,8 @@ weak-level identities are compared through weak_key.
 from __future__ import annotations
 
 from . import invseq
-from .drawing import (RectDrawing, canonical_drawing, l_labels, make_drawing,
-                      order_labels)
+from .drawing import (RectDrawing, _brief, canonical_drawing, l_labels,
+                      make_drawing, order_labels)
 from .gentree import (ClassError, _check_t1_rect, _check_t2_rect, replay_rect,
                       trace_of_invseq)
 from .patterns import avoids_all
@@ -35,7 +35,7 @@ def tau_inv(e) -> RectDrawing:
     sequence e."""
     e = invseq.check_invseq(e)
     if any(a > b for a, b in zip(e, e[1:])):
-        raise ClassError(f"{e} is not non-decreasing")
+        raise ClassError(f"{_brief(e)} is not non-decreasing")
     return tau7_inv(e)
 
 
@@ -46,7 +46,7 @@ def epsilon(e) -> str:
     prev, out = 0, []
     for v in e:
         if v < prev:
-            raise ClassError(f"{e} is not non-decreasing")
+            raise ClassError(f"{_brief(e)} is not non-decreasing")
         out.append("D" * (v - prev) + "U")
         prev = v
     out.append("D" * (len(e) - prev))
@@ -62,7 +62,8 @@ def epsilon_inv(word: str):
             v += 1
     e = tuple(out)
     if epsilon(e) != word:
-        raise ClassError(f"{word} is not in the image of the staircase map")
+        raise ClassError(f"{_brief(word)} is not in the image of the "
+                         "staircase map")
     return e
 
 
@@ -177,7 +178,8 @@ def seq_to_tree(e):
     if not e:
         return None
     if e[0] != 0 or any(a > b for a, b in zip(e, e[1:])):
-        raise ClassError(f"{e} is not a non-decreasing inversion sequence")
+        raise ClassError(f"{_brief(e)} is not a non-decreasing inversion "
+                         "sequence")
     p = next((j for j in range(2, len(e) + 1) if e[j - 1] == j - 1), None)
     if p is None:
         return (seq_to_tree(e[1:]), None)

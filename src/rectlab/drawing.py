@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import add, lt, or_
 
 Box = tuple[int, int, int, int]  # (x0, y0, x1, y1), y up
 
@@ -58,10 +60,10 @@ class RectDrawing:
         return len(self.rects)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"width": self.width, "height": self.height,
-             "rects": [list(r) for r in self.rects]}
-        )
+        # json.dumps of {"width", "height", "rects": lists}, byte for byte:
+        # a list of int lists prints as JSON does
+        return '{"width": %d, "height": %d, "rects": %s}' % (
+            self.width, self.height, list(map(list, self.rects)))
 
 
 class InvalidDrawing(ValueError):
@@ -69,18 +71,25 @@ class InvalidDrawing(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# The drawing kernel.  One pass checks a drawing's boxes and derives its
-# segments (_structure), its relation bitmasks and NW-SE order (_nwse) and
-# its relation matrix (_rows).  make_drawing hands the result to the drawing
-# it returns as its kernel: (relations in NW-SE indices, segment spans).
-# relations_of, segments_of, joints_of, heap_order, order_labels, l_labels
-# and canonical_drawing read the kernel, and outside the validator every
-# segment endpoint is read from it: patterns finds windmills from joints_of,
-# gentree reads the spans by line index.  A drawing built any other way
-# gets its kernel on first use, after the same checks (_kernel).  The
-# generating trees grow and shrink bare box lists between the drawings they
-# return: they take each line's span from _line_sides, as _structure does,
-# and redraw with _rename_lines, as canonical_drawing does.
+# The drawing kernel.  _analyse checks a drawing's boxes and derives its NW-SE
+# order, its relation matrix and the span of the segment on each line in
+# one confirming pass of bulk operations over the box columns: the bounds,
+# the cover and the crossings from two sets of corners, one segment per
+# line and the spans from a sweep of the sides sorted by line, then the
+# endpoints, the trichotomy and the total order.  Its first failed test
+# hands the boxes to _structure and _nwse, the checks spelt out one by one,
+# which raise the first violation; validate lists every violation through
+# them.  make_drawing hands the result to the drawing it returns as its
+# kernel: (relations in NW-SE indices, segment spans).  relations_of,
+# segments_of, joints_of, heap_order, order_labels, l_labels and
+# canonical_drawing read the kernel, and outside the validator every
+# segment endpoint is read from it: patterns finds T joints and windmills
+# from the spans, gentree reads the spans by line index.  A drawing built
+# any other way gets its kernel on first use, after the same checks
+# (_kernel).  The generating trees grow and shrink bare box lists between
+# the drawings they return: they take each line's span from _line_sides,
+# as _structure does, and redraw with _rename_lines, as canonical_drawing
+# does.
 
 
 def _report(out, msg):
@@ -264,29 +273,115 @@ def _nwse(width, height, boxes, out=None):
     return pos, right, left
 
 
-def _rows(pos, right, left):
-    """The relation matrix in NW-SE indices.  A rect before rect i in NW-SE
-    order is left of it or above it; one after it is right of or below it."""
-    inv = [0] * len(pos)
-    for i, p in enumerate(pos):
-        inv[p] = i
-    rows = []
-    for p, i in enumerate(inv):
-        r, l = right[i], left[i]
-        rows.append("".join(
-            [RIGHT if l >> j & 1 else BELOW for j in inv[:p]] + ["."]
-            + [LEFT if r >> j & 1 else ABOVE for j in inv[p + 1:]]))
-    return tuple(rows)
+# Row characters before and after the diagonal of a relation matrix row, by
+# whether the other rect's bit is set in the row's left-or-right mask.
+_BEFORE = str.maketrans("01", "BR")
+_AFTER = str.maketrans("01", "AL")
+
+
+def _sweep(sides, bits, size):
+    """(fwd, back, lo, hi) over one family of lines, from sides, sorted:
+    (far, lo, hi, near, i) for each rect i, its far side on line far and
+    its near side on line near.  fwd / back are _closure's masks (the rects
+    beyond line c across it, forwards / backwards), with rect i's bit
+    bits[i]; lo[c] is the start of the lowest far side on line c and hi[c]
+    the end of the highest one, 0 on a line with none.  Sorted by far line,
+    each rect comes after those that end where it starts, so one pass each
+    way closes the masks."""
+    fwd, back = [0] * (size + 1), [0] * (size + 1)
+    lo, hi = [0] * (size + 1), [0] * (size + 1)
+    for far, start, _, near, i in reversed(sides):
+        fwd[near] |= bits[i] | fwd[far]
+        lo[far] = start
+    for far, _, end, near, i in sides:
+        back[far] |= bits[i] | back[near]
+        hi[far] = end
+    return fwd, back, lo, hi
+
+
+def _refuse(width, height, boxes):
+    """Raise the first violation of boxes that _analyse's pass refused."""
+    _structure(width, height, boxes)
+    _nwse(width, height, boxes)
+    raise RuntimeError("drawing kernel: the bulk checks refused boxes that "
+                       f"_structure and _nwse accept: {_brief(boxes)}")
 
 
 def _analyse(width, height, boxes):
     """(pos, relations in NW-SE indices, spans) of valid boxes; raises
     InvalidDrawing at the first violation.  spans holds lo, hi of the
-    segment on each interior line, verticals by x then horizontals by y."""
-    segs = _structure(width, height, boxes)
-    pos, right, left = _nwse(width, height, boxes)
-    spans = tuple(v for _, _, lo, hi in segs for v in (lo, hi))
-    return pos, _rows(pos, right, left), spans
+    segment on each interior line, verticals by x then horizontals by y.
+
+    One confirming pass makes _structure's and _nwse's checks as a few bulk
+    operations each; the first that fails hands the boxes to _structure and
+    _nwse, which raise the violation they find first."""
+    n = len(boxes)
+    if width < 1 or height < 1 or n != width + height - 1:
+        _refuse(width, height, boxes)
+    X0, Y0, X1, Y1 = zip(*boxes)
+    if (min(X0) < 0 or min(Y0) < 0 or max(X1) > width or max(Y1) > height
+            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))):
+        _refuse(width, height, boxes)
+    # The cover is _cover_violation's corner identity, SW + NE corners and
+    # (W,0), (0,H) against SE + NW corners and (0,0), (W,H).  A tiling has
+    # no two equal SW or NE corners, and a SW corner on a NE corner is a
+    # cross joint, so both sides as sets of 2n + 2 points test the cover
+    # and the crossings at once.
+    plus = {*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)}
+    if len(plus) != 2 * n + 2 or plus != {*zip(X1, Y0), *zip(X0, Y1), (0, 0),
+                                          (width, height)}:
+        _refuse(width, height, boxes)
+    bits = [1 << i for i in range(n)]
+    vsides = sorted(zip(X1, Y0, Y1, X0, range(n)))
+    rmask, lmask, vlo, vhi = _sweep(vsides, bits, width)
+    amask, bmask, hlo, hhi = _sweep(sorted(zip(Y1, X0, X1, Y0, range(n))),
+                                    bits, height)
+    # Once the cover is exact, the sides on a line do not overlap, so the
+    # line hosts one segment iff it has sides and they fill lo..hi.
+    if (len(set(X1)) != width or len(set(Y1)) != height
+            or sum(Y1) - sum(Y0) != sum(vhi) - sum(vlo)
+            or sum(X1) - sum(X0) != sum(hhi) - sum(hlo)):
+        _refuse(width, height, boxes)
+    # Every interior endpoint lies inside the segment on its line.  With
+    # one segment per line, no two endpoints can then coincide.
+    for x in range(1, width):
+        lo, hi = vlo[x], vhi[x]
+        if (lo and not hlo[lo] < x < hhi[lo]
+                or hi < height and not hlo[hi] < x < hhi[hi]):
+            _refuse(width, height, boxes)
+    for y in range(1, height):
+        lo, hi = hlo[y], hhi[y]
+        if (lo and not vlo[lo] < y < vhi[lo]
+                or hi < width and not vlo[hi] < y < vhi[hi]):
+            _refuse(width, height, boxes)
+    # _nwse's trichotomy and total order.  Rect j is right of rect i iff i
+    # is left of j, and the same above and below, so the positions (rects
+    # left of or above each rect) add up to half the related ordered pairs.
+    # If each rect is related to every other one and the positions are
+    # 0..n-1, that is n(n-1) pairs, so no pair is related twice.
+    left = list(map(lmask.__getitem__, X0))
+    above = list(map(amask.__getitem__, Y1))
+    right = map(rmask.__getitem__, X1)
+    below = map(bmask.__getitem__, Y0)
+    related = map(or_, map(or_, right, left), map(or_, above, below))
+    full = (1 << n) - 1
+    if not all(map(full.__eq__, map(or_, related, bits))):
+        _refuse(width, height, boxes)
+    pos = list(map(add, map(int.bit_count, left), map(int.bit_count, above)))
+    if sorted(pos) != list(range(n)):
+        _refuse(width, height, boxes)
+    # The relation matrix from the x-masks again, each rect's bit at its
+    # NW-SE position.  A rect before rect i in NW-SE order is left of it or
+    # above it; one after it is right of or below it.
+    rmask, lmask = _sweep(vsides, [1 << p for p in pos], width)[:2]
+    top = 1 << n
+    rows = [None] * n
+    for x0, x1, p in zip(X0, X1, pos):
+        s = format(rmask[x1] | lmask[x0] | top, "b")[::-1]
+        rows[p] = s[:p].translate(_BEFORE) + "." + s[p + 1:n].translate(_AFTER)
+    spans = (*chain.from_iterable(zip(vlo[1:width], vhi[1:width])),
+             *chain.from_iterable(zip(hlo[1:height], hhi[1:height])))
+    return pos, tuple(rows), spans
 
 
 def _with_kernel(d, rel, spans):
@@ -387,12 +482,24 @@ def from_json(text: str) -> RectDrawing:
     d = RectDrawing(_json_int(obj.get("width"), "width"),
                     _json_int(obj.get("height"), "height"), tuple(boxes))
     # One analysis for a valid drawing, kept as its kernel; validate runs
-    # only to list every violation of an invalid one.
+    # only to list the violations of an invalid one.
     try:
         _kernel(d)
     except InvalidDrawing:
-        raise InvalidDrawing("; ".join(validate(d))) from None
+        raise InvalidDrawing(_first_few(validate(d))) from None
     return d
+
+
+# How many violations a from_json error names before it counts the rest.
+_NAMED_VIOLATIONS = 5
+
+
+def _first_few(violations):
+    """The first _NAMED_VIOLATIONS violations joined by "; ", then how many
+    more there are, so that a large bad input gives a one-line error."""
+    more = len(violations) - _NAMED_VIOLATIONS
+    tail = [f"and {more} more"] if more > 0 else []
+    return "; ".join(violations[:_NAMED_VIOLATIONS] + tail)
 
 
 def segments_of(d: RectDrawing) -> list[Segment]:
@@ -564,24 +671,30 @@ def canonical_drawing(d: RectDrawing) -> RectDrawing:
 
 def contacts_of(d: RectDrawing):
     """Sorted positive-length side contacts: ("h", i, j) for i left of j,
-    ("v", i, j) for i below j.  Reads the boxes alone, through an index of
-    the rects by their left and by their bottom side."""
+    ("v", i, j) for i below j.  Reads the boxes alone, through per-line
+    lists of the rects by their left and by their bottom side, after the
+    checks a drawing make_drawing did not build gets (_kernel)."""
+    _kernel(d)
     rects = d.rects
-    by_left, by_bottom = {}, {}
+    by_left = [[] for _ in range(d.width)]
+    by_bottom = [[] for _ in range(d.height)]
     for j, (x0, y0, _, _) in enumerate(rects):
-        by_left.setdefault(x0, []).append(j)
-        by_bottom.setdefault(y0, []).append(j)
-    out = []
+        by_left[x0].append(j)
+        by_bottom[y0].append(j)
+    # i ascending, and each line's list in j order: both parts come sorted
+    h, v = [], []
     for i, (x0, y0, x1, y1) in enumerate(rects):
-        for j in by_left.get(x1, ()):
-            _, b0, _, b1 = rects[j]
-            if j != i and min(y1, b1) > max(y0, b0):
-                out.append(("h", i, j))
-        for j in by_bottom.get(y1, ()):
-            a0, _, a1, _ = rects[j]
-            if j != i and min(x1, a1) > max(x0, a0):
-                out.append(("v", i, j))
-    return tuple(sorted(out))
+        if x1 < d.width:
+            for j in by_left[x1]:
+                _, b0, _, b1 = rects[j]
+                if b0 < y1 and y0 < b1:
+                    h.append(("h", i, j))
+        if y1 < d.height:
+            for j in by_bottom[y1]:
+                a0, _, a1, _ = rects[j]
+                if a0 < x1 and x0 < a1:
+                    v.append(("v", i, j))
+    return tuple(h + v)
 
 
 def weak_key(d: RectDrawing):

@@ -436,9 +436,9 @@ def _check_seq(e, tree, cls):
     if not e:
         raise ClassError("the empty sequence is not a tree node")
     if tree == "t1" and not invseq.class_check(e, cls):
-        raise ClassError(f"{e} is not in class {cls}")
+        raise ClassError(f"{_brief(e)} is not in class {cls}")
     if tree == "t2" and not invseq.avoids_all(e, T2_PATTERNS):
-        raise ClassError(f"{e} does not avoid {T2_PATTERNS}")
+        raise ClassError(f"{_brief(e)} does not avoid {T2_PATTERNS}")
     return e
 
 
@@ -510,7 +510,7 @@ def replay_invseq(trace, tree, cls="i7"):
                   if _step(e, u, tree, cls, ext) == (rule, param)), None)
         if u is None:
             raise ValueError(f"{tree} has no step {(rule, param)} "
-                             f"below {e}")
+                             f"below {_brief(e)}")
         e += (u,)
     return e
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+from .drawing import _brief
+
 CLASS_PATTERNS = {
     "i6": ("010", "100", "120", "210"),
     "i7": ("010", "101", "120", "201"),
@@ -28,7 +30,7 @@ def is_invseq(e) -> bool:
 def check_invseq(e):
     e = tuple(e)
     if not is_invseq(e):
-        raise ValueError(f"{e} is not an inversion sequence")
+        raise ValueError(f"{_brief(e)} is not an inversion sequence")
     return e
 
 
@@ -188,7 +190,7 @@ def theta(pi) -> tuple[int, ...]:
     entries larger than pi_k."""
     pi = tuple(pi)
     if sorted(pi) != list(range(1, len(pi) + 1)):
-        raise ValueError(f"{pi} is not a permutation of 1..{len(pi)}")
+        raise ValueError(f"{_brief(pi)} is not a permutation of 1..{len(pi)}")
     return tuple(sum(pi[i] > pi[k] for i in range(k)) for k in range(len(pi)))
 
 
@@ -247,13 +249,15 @@ def _reflect_area(body, v0, v1):
 def transform_7_to_8(e):
     """Reflect every active area vertically, sparing its first column."""
     if not class_check(e, "i7"):
-        raise ValueError(f"{e} is not in the weakly-decreasing-area class")
+        raise ValueError(f"{_brief(e)} is not in the weakly-decreasing-area "
+                         "class")
     return _map_areas(e, _reflect_area)
 
 
 def transform_8_to_7(e):
     if not class_check(e, "i8"):
-        raise ValueError(f"{e} is not in the weakly-increasing-area class")
+        raise ValueError(f"{_brief(e)} is not in the weakly-increasing-area "
+                         "class")
     return _map_areas(e, _reflect_area)
 
 
@@ -261,7 +265,8 @@ def transform_8_to_6(e):
     """Replace all but the last copy of each repeated sub-maximum value in an
     area by the area maximum."""
     if not class_check(e, "i8"):
-        raise ValueError(f"{e} is not in the weakly-increasing-area class")
+        raise ValueError(f"{_brief(e)} is not in the weakly-increasing-area "
+                         "class")
 
     def fwd(body, v0, v1):
         return [v1 if v < v1 and i + 1 < len(body) and body[i + 1] == v else v
@@ -272,7 +277,8 @@ def transform_8_to_6(e):
 
 def transform_6_to_8(e):
     if not class_check(e, "i6"):
-        raise ValueError(f"{e} is not in the strictly-increasing-area class")
+        raise ValueError(f"{_brief(e)} is not in the strictly-increasing-area "
+                         "class")
 
     def inv(body, v0, v1):
         out, nxt = [], None

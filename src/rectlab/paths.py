@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import threading
 
-from .drawing import RectDrawing, _extension, _line_spans, strip_drawing
+from .drawing import (RectDrawing, _brief, _extension, _line_spans,
+                      strip_drawing)
 from .gentree import LEVEL_CAP, ClassError
 from .patterns import avoids_all
 
@@ -28,7 +29,7 @@ def is_dyck(word: str) -> bool:
 
 def check_dyck(word: str) -> str:
     if not is_dyck(word):
-        raise ValueError(f"{word!r} is not a Dyck word")
+        raise ValueError(f"{_brief(word)} is not a Dyck word")
     return word
 
 
@@ -126,7 +127,7 @@ def phi(word: str) -> RectDrawing:
     lines, with one unit vertical per non-initial up-step, placed left to
     right at the up-step's altitude."""
     if not is_rushed(word):
-        raise ClassError(f"{word!r} is not rushed")
+        raise ClassError(f"{_brief(word)} is not rushed")
     h = initial_rise(word)
     if h < 2:
         raise ClassError("rushed paths of semilength >= 2 have rise >= 2")

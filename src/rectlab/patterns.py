@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .drawing import RectDrawing, joints_of, segments_of
+from .drawing import RectDrawing, _line_spans, joints_of, segments_of
 
 TD, TU, TR, TL = "td", "tu", "tr", "tl"
 WINDMILL_CW, WINDMILL_CCW = "wm+", "wm-"
@@ -60,20 +60,42 @@ def occurrences(d: RectDrawing, pattern: str):
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
+def _has_joint(d, spans, kind):
+    """Does d, with these _line_spans, have a T joint of this kind?
+    joints_of's test of one segment end, made for any segment, without
+    listing and sorting the joints."""
+    v, h = spans
+    if kind == TD:
+        return any(hi < d.height for _, hi in v)
+    if kind == TU:
+        return any(lo > 0 for lo, _ in v)
+    if kind == TR:
+        return any(lo > 0 for lo, _ in h)
+    return any(hi < d.width for _, hi in h)
+
+
 def contains(d: RectDrawing, pattern: str) -> bool:
+    if pattern in _T_KINDS:
+        return _has_joint(d, _line_spans(d), pattern)
     return bool(occurrences(d, pattern))
 
 
 def avoids_all(d: RectDrawing, patterns) -> bool:
-    windmills = None  # one search serves both chiralities
+    # one read of the spans serves every T kind, one search both chiralities
+    spans = windmills = None
     for p in patterns:
-        if p in (WINDMILL_CW, WINDMILL_CCW):
+        if p in _T_KINDS:
+            if spans is None:
+                spans = _line_spans(d)
+            if _has_joint(d, spans, p):
+                return False
+        elif p in (WINDMILL_CW, WINDMILL_CCW):
             if windmills is None:
                 windmills = dict(zip((WINDMILL_CW, WINDMILL_CCW),
                                      _windmills(d)))
             if windmills[p]:
                 return False
-        elif contains(d, p):
+        elif contains(d, p):  # raises: an unknown pattern
             return False
     return True
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectlab import universe
+from rectlab import drawing, paths, universe
 from rectlab.drawing import (InvalidDrawing, RectDrawing, Segment,
                              boundary_touch_counts, canonical_drawing,
                              contacts_of, from_json, heap_order, is_diagonal,
@@ -98,13 +98,13 @@ def test_json_round_trip(d3):
 def test_from_json_analyses_a_valid_drawing_once(monkeypatch, pinwheel):
     from rectlab import drawing
     calls = []
-    real = drawing._structure
+    real = drawing._analyse
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args[:2])
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(drawing, "_structure", counting)
+    monkeypatch.setattr(drawing, "_analyse", counting)
     for d in [pinwheel] + universe.enumerate_strong(4):
         del calls[:]
         got = from_json(d.to_json())
@@ -653,6 +653,105 @@ def test_kernel_matches_reference_on_perturbed_boxes():
             for _ in range(rng.randrange(1, 4)):
                 boxes, width, height = _perturbed(boxes, width, height, rng)
             _boxes_agree(width, height, boxes)
+
+
+# _analyse's bulk pass against the checks it confirms: _structure and
+# _nwse, spelt out one check at a time, and the relation matrix built one
+# character at a time.
+
+
+def _ref_rows(pos, right, left):
+    inv = [0] * len(pos)
+    for i, p in enumerate(pos):
+        inv[p] = i
+    rows = []
+    for p, i in enumerate(inv):
+        r, l = right[i], left[i]
+        rows.append("".join(
+            ["R" if l >> j & 1 else "B" for j in inv[:p]] + ["."]
+            + ["L" if r >> j & 1 else "A" for j in inv[p + 1:]]))
+    return tuple(rows)
+
+
+def _ref_analyse(width, height, boxes):
+    segs = drawing._structure(width, height, boxes)
+    pos, right, left = drawing._nwse(width, height, boxes)
+    spans = tuple(v for _, _, lo, hi in segs for v in (lo, hi))
+    return pos, _ref_rows(pos, right, left), spans
+
+
+def _analysis(analyse, width, height, boxes):
+    """(pos, rows, spans), or the message of the InvalidDrawing raised."""
+    try:
+        return analyse(width, height, boxes)
+    except InvalidDrawing as exc:
+        return str(exc)
+
+
+def _assert_same_analysis(width, height, boxes):
+    want = _analysis(_ref_analyse, width, height, boxes)
+    assert _analysis(drawing._analyse, width, height, boxes) == want, \
+        (width, height, boxes)
+    return not isinstance(want, str)
+
+
+def _analysed(monkeypatch, build):
+    """(width, height, boxes) of each _analyse call that build() makes."""
+    seen = []
+    real = drawing._analyse
+
+    def spy(width, height, boxes):
+        seen.append((width, height, list(boxes)))
+        return real(width, height, boxes)
+
+    monkeypatch.setattr(drawing, "_analyse", spy)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_bulk_pass_matches_the_checks_on_every_child(ctx, monkeypatch):
+    levels = [ctx.strong(n) for n in range(1, 7)]
+    for d in itertools.chain(*levels):
+        drawing._kernel(d)  # analysed before the spy: parents, not children
+    children = _analysed(monkeypatch, lambda: [
+        universe._next_level(level) for level in levels])
+    assert len(children) == 4728  # the classes of sizes 2..7
+    assert all(_assert_same_analysis(*c) for c in children)
+
+
+def test_bulk_pass_matches_the_checks_on_strip_drawings(monkeypatch):
+    strips = _analysed(monkeypatch, lambda: [
+        paths.phi(word) for k in range(2, 11)
+        for word in paths.rushed_paths(k)])
+    assert len(strips) == 1913  # rushed paths of semilength 2..10
+    assert all(_assert_same_analysis(*s) for s in strips)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 7), pick=st.integers(0, 10 ** 6),
+       edits=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_bulk_pass_matches_the_checks_on_perturbed_boxes(ctx, n, pick, edits,
+                                                         rng):
+    members = ctx.strong(n)
+    d = members[pick % len(members)]
+    boxes, width, height = list(d.rects), d.width, d.height
+    for _ in range(edits):
+        boxes, width, height = _perturbed(boxes, width, height, rng)
+    _assert_same_analysis(width, height, boxes)
+
+
+def test_a_valid_drawing_refused_is_an_internal_error(pinwheel):
+    # what the bulk pass refuses, _structure and _nwse must refuse too
+    with pytest.raises(RuntimeError):
+        drawing._refuse(pinwheel.width, pinwheel.height, pinwheel.rects)
+
+
+def test_to_json_writes_what_json_dumps_writes(ctx):
+    for d in [d for n in range(1, 8) for d in ctx.strong(n)]:
+        assert d.to_json() == json.dumps(
+            {"width": d.width, "height": d.height,
+             "rects": [list(r) for r in d.rects]})
 
 
 def test_foreign_drawings_are_checked_before_their_relations():

@@ -188,6 +188,26 @@ def test_cli_map_refuses_input_of_the_wrong_kind(capsys, tmp_path, d3, argv,
     _assert_refused(capsys, ["map", *argv])
 
 
+def test_cli_errors_about_large_inputs_stay_short(capsys, tmp_path):
+    """A 100 x 100 grid of unit squares has 9,801 cross joints, and a long
+    sequence is echoed in its class error: both errors stay under 1 KB."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "width": 100, "height": 100,
+        "rects": [[x, y, x + 1, y + 1] for x in range(100)
+                  for y in range(100)]}))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(list(range(3000)) + [0]))
+    for argv in (["render", "--input", str(grid)],
+                 ["map", "--bijection", "tau", "--direction", "inv",
+                  "--input", str(seq)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.encode()) < 1024, captured.err[:200]
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_inverse_maps_refuse_the_empty_sequence():
     from rectlab import bijections
     for inverse in (bijections.tau_inv, bijections.sigma_inv,

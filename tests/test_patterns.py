@@ -1,5 +1,5 @@
 from rectlab import patterns, universe
-from rectlab.drawing import make_drawing, reflect, segments_of
+from rectlab.drawing import joints_of, make_drawing, reflect, segments_of
 from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
                               is_guillotine, occurrences)
 
@@ -132,3 +132,16 @@ def test_avoids_all_searches_windmills_once_per_drawing(ctx, monkeypatch):
         assert contains(d, "wm+") == bool(cw)
         assert contains(d, "wm-") == bool(ccw)
         assert ok == (not cw and not ccw), d
+
+
+def test_t_joint_containment_reads_the_spans(ctx):
+    """contains and avoids_all test a T kind on the spans; joints_of, which
+    lists and sorts the joints, is the reference."""
+    for d in [d for n in range(1, 8) for d in ctx.strong(n)]:
+        kinds = {kind for _, kind in joints_of(d)}
+        for kind in (TD, TU, TR, TL):
+            assert contains(d, kind) == (kind in kinds), (d, kind)
+            assert avoids_all(d, (kind,)) == (kind not in kinds), (d, kind)
+            assert occurrences(d, kind) == [j for j in joints_of(d)
+                                            if j[1] == kind]
+        assert avoids_all(d, (TD, TU, TR, TL)) == (not kinds), d
