@@ -147,8 +147,11 @@ def tree_image_levels(n):
     turn, each built from the images of the smaller sizes: for each split,
     the right-hand images are shifted once, and each image is one
     concatenation of a root-and-left head with a shifted tail.  The later
-    levels are built from the lists yielded, so a caller must not reorder
-    them.
+    levels are built from the lists yielded, so a caller that reorders a
+    level reorders the later levels, not their images, and one that sorts
+    each level before taking the next gets every later level as a few sorted
+    runs (one per split, ordered by head, then tail); a caller must not add
+    or remove items.
 
     Images are bytes, not tuples: a level of n = 12 holds 208,012 of them,
     and bytes take a fraction of a tuple's memory and compare in C.  bytes()

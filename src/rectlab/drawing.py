@@ -757,11 +757,36 @@ def size1() -> RectDrawing:
 
 def strip_drawing(height: int, rows) -> RectDrawing:
     """A stack of height full-width rows with one unit vertical per interior
-    line x = 1..len(rows), the one on line x in row rows[x-1]."""
+    line x = 1..len(rows), the one on line x in row rows[x-1].
+
+    Every such stack is a valid drawing, so its kernel is written down from
+    the rows, not derived by make_drawing: the NW-SE order runs row by row
+    from the top and left to right within a row, a rect is below every rect
+    of the rows above it and above every rect of the rows below it, the
+    vertical on line x spans its row and each horizontal spans the box."""
     width = len(rows) + 1
-    boxes = []
-    for r in range(height):
-        cuts = [0] + [x for x, rr in enumerate(rows, 1) if rr == r] + [width]
-        boxes += [(cuts[t], r, cuts[t + 1], r + 1)
-                  for t in range(len(cuts) - 1)]
-    return make_drawing(width, height, boxes)
+    if height < 1:
+        raise InvalidDrawing("bounding box must have positive width and "
+                             "height")
+    cuts = [[] for _ in range(height)]
+    for x, r in enumerate(rows, 1):
+        if not 0 <= r < height:
+            raise InvalidDrawing(f"strip row {_brief(r)} outside "
+                                 f"0..{height - 1}")
+        cuts[r].append(x)
+    n = width + height - 1
+    rects, rel = [], []
+    above = 0
+    for r in reversed(range(height)):
+        xs = [0, *cuts[r], width]
+        k = len(xs) - 1
+        below = n - above - k
+        for t in range(k):
+            rects.append((xs[t], r, xs[t + 1], r + 1))
+            rel.append("B" * above + "R" * t + "." + "L" * (k - 1 - t)
+                       + "A" * below)
+        above += k
+    spans = (*chain.from_iterable((r, r + 1) for r in rows),
+             *(0, width) * (height - 1))
+    return _with_kernel(RectDrawing(width, height, tuple(rects)), tuple(rel),
+                        spans)

