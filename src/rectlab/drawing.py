@@ -12,10 +12,11 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
-from operator import add, lt, or_
+from functools import lru_cache, reduce
+from itertools import chain, islice
+from operator import add, lt, mul, or_, sub
 
 Box = tuple[int, int, int, int]  # (x0, y0, x1, y1), y up
 
@@ -71,32 +72,18 @@ class InvalidDrawing(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# The drawing kernel.  _analyse checks a drawing's boxes and derives its NW-SE
-# order, its relation matrix and the span of the segment on each line in
-# one confirming pass of bulk operations over the box columns: the bounds,
-# the cover and the crossings from two sets of corners, one segment per
-# line and the spans from a sweep of the sides sorted by line, then the
-# endpoints, the trichotomy and the total order.  Its first failed test
-# hands the boxes to _structure and _nwse, the checks spelt out one by one,
-# which raise the first violation; validate lists every violation through
-# them.  make_drawing hands the result to the drawing it returns as its
-# kernel: (relations in NW-SE indices, segment spans).  relations_of,
-# segments_of, joints_of, heap_order, order_labels, l_labels and
-# canonical_drawing read the kernel, and outside the validator every
-# segment endpoint is read from it: patterns finds T joints and windmills
-# from the spans, gentree reads the spans by line index.  A drawing built
-# any other way gets its kernel on first use, after the same checks
-# (_kernel).  The generating trees grow and shrink bare box lists between
-# the drawings they return: they take each line's span from _line_sides,
-# as _structure does, and redraw with _rename_lines, as canonical_drawing
-# does.
-
-
-def _report(out, msg):
-    """Raise msg as the first violation, or add it to the list out."""
-    if out is None:
-        raise InvalidDrawing(msg)
-    out.append(msg)
+# The drawing kernel.  _check is the one validity check: bulk operations
+# over the box columns test the bounds, the cover and the crossings (two
+# corner sets), one segment per line (a sweep of the sides sorted by line),
+# the trichotomy and the total order, and a failed test names its
+# violations from the data it holds.  _analyse adds the relation matrix,
+# and make_drawing keeps (relations in NW-SE indices, segment spans) as the
+# kernel of the drawing it returns, which relations_of, segments_of,
+# joints_of, heap_order, order_labels, l_labels, canonical_drawing,
+# patterns (T joints, windmills) and gentree (spans by line index) read.
+# Any other drawing gets its kernel on first use, after the same checks
+# (_kernel).  The generating trees grow bare box lists between drawings:
+# they take each line's span from _line_sides and redraw with _rename_lines.
 
 
 def _merge_runs(intervals):
@@ -112,33 +99,11 @@ def _merge_runs(intervals):
     return runs
 
 
-def _cover_violation(width, height, boxes):
-    """None if the boxes tile the box exactly, else the violation.
-
-    A box's indicator function is the signed sum of the quadrants at its
-    four corners, and quadrants at distinct points are linearly independent,
-    so the boxes tile the box exactly iff their signed corner weights add up
-    to the box's own.  Linear in the number of boxes, whatever the area."""
-    weight = {(0, 0): -1, (width, 0): 1, (0, height): 1, (width, height): -1}
-    get = weight.get
-    for x0, y0, x1, y1 in boxes:
-        weight[x0, y0] = get((x0, y0), 0) + 1
-        weight[x1, y0] = get((x1, y0), 0) - 1
-        weight[x0, y1] = get((x0, y1), 0) - 1
-        weight[x1, y1] = get((x1, y1), 0) + 1
-    if not any(weight.values()):
-        return None
-    area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
-    more = "" if area != width * height else ", some more than once"
-    return ("union != bounding box or rects overlap "
-            f"({area} cells covered of {width * height}{more})")
-
-
 def _line_sides(width, height, boxes):
     """(vlines, hlines): vlines[x] lists the (y0, y1) spans of the box sides
     on line x, for x = 0..W, and hlines[y] the (x0, x1) spans on line y.
-    _merge_runs of an interior line gives its maximal runs, one iff the
-    line hosts one segment."""
+    gentree takes the segments of the box lists it grows from these: the
+    _merge_runs of an interior line, one run iff it hosts one segment."""
     vlines = [[] for _ in range(width + 1)]
     hlines = [[] for _ in range(height + 1)]
     for x0, y0, x1, y1 in boxes:
@@ -147,130 +112,6 @@ def _line_sides(width, height, boxes):
         hlines[y0].append((x0, x1))
         hlines[y1].append((x0, x1))
     return vlines, hlines
-
-
-def _structure(width, height, boxes, out=None):
-    """The interior segments (orientation, axis, lo, hi), verticals by x then
-    horizontals by y, after the structural checks.
-
-    With out=None the first violation raises InvalidDrawing, cheapest check
-    first: rect count, bounds, one segment per line, cover, crossings,
-    endpoints.  With a list, every violation is added to it in validate's
-    order, where the cover comes before the lines and a bad bound or cover
-    ends the list."""
-    if width < 1 or height < 1:
-        _report(out, "bounding box must have positive width and height")
-        return []
-    n = len(boxes)
-    if n != width + height - 1:
-        _report(out, f"{n} rects cannot fill a {width}x{height} box "
-                f"one segment per line (need {width + height - 1})")
-    for b in boxes:
-        x0, y0, x1, y1 = b
-        if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-            _report(out, f"rect {b} outside box or degenerate")
-            return []
-    if out is not None:
-        if 4 * width * height > (n + 1) ** 2:
-            # Reached only with a wrong rect count, as W + H = n + 1 bounds
-            # W * H by (n + 1)^2 / 4.  The per-line checks would take as
-            # long as the claimed box is wide, so the area ends the list.
-            area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
-            if area != width * height:
-                out.append("union != bounding box or rects overlap "
-                           f"({area} cells covered of {width * height})")
-            return []
-        bad = _cover_violation(width, height, boxes)
-        if bad:
-            out.append(bad)
-            return []
-    vlines, hlines = _line_sides(width, height, boxes)
-    segs = []
-    for orient, name, lines in (("v", "x", vlines), ("h", "y", hlines)):
-        for axis in range(1, len(lines) - 1):
-            runs = _merge_runs(lines[axis])
-            if len(runs) != 1:
-                _report(out, f"line {name}={axis} hosts {len(runs)} segments")
-            segs += [(orient, axis, lo, hi) for lo, hi in runs]
-    if out is None:
-        bad = _cover_violation(width, height, boxes)
-        if bad:
-            raise InvalidDrawing(bad)
-    # Given an exact cover, two segments cross at p iff p is the NE corner
-    # of one rect and the SW corner of another.
-    ne_corners = {(x1, y1) for _, _, x1, y1 in boxes}
-    for x, y in sorted(ne_corners.intersection((x0, y0)
-                                               for x0, y0, _, _ in boxes)):
-        _report(out, f"cross joint at ({x},{y})")
-    # endpoint coincidences and dangling interior endpoints
-    hseg = {axis: (lo, hi) for o, axis, lo, hi in segs if o == "h"}
-    vseg = {axis: (lo, hi) for o, axis, lo, hi in segs if o == "v"}
-    seen = set()
-    for o, axis, lo, hi in segs:
-        for end in (lo, hi):
-            if o == "v":
-                if end == 0 or end == height:
-                    continue
-                pt, host = (axis, end), hseg.get(end)
-            else:
-                if end == 0 or end == width:
-                    continue
-                pt, host = (end, axis), vseg.get(end)
-            if pt in seen:
-                _report(out, f"segment endpoints coincide at ({pt[0]},{pt[1]})")
-            seen.add(pt)
-            if host is None or not host[0] < axis < host[1]:
-                _report(out, f"dangling segment endpoint at ({pt[0]},{pt[1]})")
-    return segs
-
-
-def _closure(boxes, order, near, far, size):
-    """mask[c]: the rects whose `near` side (index into a box) lies on line
-    c, and transitively every rect beyond them across their `far` side.
-
-    Once each interior line hosts one segment, the rects whose far side is
-    on a line are neighbours of all rects whose near side is on it, so the
-    rects are taken in `order`, from the far side of the box inwards, each
-    adding its own bit and the mask of its far line."""
-    mask = [0] * (size + 1)
-    for i in order:
-        b = boxes[i]
-        mask[b[near]] |= 1 << i | mask[b[far]]
-    return mask
-
-
-def _nwse(width, height, boxes, out=None):
-    """(pos, right, left) for boxes that passed _structure: pos[i] is rect
-    i's NW-SE position, right[i] / left[i] the bitmasks of the rects to its
-    right / left.  None (or InvalidDrawing) if some pair of rects is not
-    related in exactly one way or the NW-SE relation is not a total order."""
-    n = len(boxes)
-    by_x = sorted(range(n), key=[b[0] for b in boxes].__getitem__)
-    by_y = sorted(range(n), key=[b[1] for b in boxes].__getitem__)
-    rmask = _closure(boxes, by_x[::-1], 0, 2, width)  # rects right of x
-    lmask = _closure(boxes, by_x, 2, 0, width)        # rects left of x
-    amask = _closure(boxes, by_y[::-1], 1, 3, height)  # rects above y
-    bmask = _closure(boxes, by_y, 3, 1, height)        # rects below y
-    full = (1 << n) - 1
-    pos, right, left = [], [], []
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
-        r, l, a, b = masks = (rmask[x1], lmask[x0], amask[y1], bmask[y0])
-        if (r | l | a | b) != full ^ 1 << i or r.bit_count() + \
-                l.bit_count() + a.bit_count() + b.bit_count() != n - 1:
-            j = next(j for j in range(n) if j != i and
-                     sum(m >> j & 1 for m in masks) != 1)
-            cands = [c for c, m in zip((LEFT, RIGHT, BELOW, ABOVE), masks)
-                     if m >> j & 1]
-            _report(out, f"relation trichotomy fails for rects {i},{j}: "
-                         f"{cands}")
-            return None
-        pos.append(l.bit_count() + a.bit_count())
-        right.append(r)
-        left.append(l)
-    if sorted(pos) != list(range(n)):  # a tournament is transitive iff so
-        _report(out, "nw-se relation is not a total order")
-        return None
-    return pos, right, left
 
 
 # Row characters before and after the diagonal of a relation matrix row, by
@@ -282,8 +123,8 @@ _AFTER = str.maketrans("01", "AL")
 def _sweep(sides, bits, size):
     """(fwd, back, lo, hi) over one family of lines, from sides, sorted:
     (far, lo, hi, near, i) for each rect i, its far side on line far and
-    its near side on line near.  fwd / back are _closure's masks (the rects
-    beyond line c across it, forwards / backwards), with rect i's bit
+    its near side on line near.  fwd[c] / back[c] is the mask of the rects
+    beyond line c across it, forwards / backwards, with rect i's bit
     bits[i]; lo[c] is the start of the lowest far side on line c and hi[c]
     the end of the highest one, 0 on a line with none.  Sorted by far line,
     each rect comes after those that end where it starts, so one pass each
@@ -299,88 +140,156 @@ def _sweep(sides, bits, size):
     return fwd, back, lo, hi
 
 
-def _refuse(width, height, boxes):
-    """Raise the first violation of boxes that _analyse's pass refused."""
-    _structure(width, height, boxes)
-    _nwse(width, height, boxes)
-    raise RuntimeError("drawing kernel: the bulk checks refused boxes that "
-                       f"_structure and _nwse accept: {_brief(boxes)}")
+# How many violations an error names before it counts the rest.
+_NAMED_VIOLATIONS = 5
+
+
+def _invalid(violations):
+    """InvalidDrawing with the first _NAMED_VIOLATIONS violations (read once
+    from an iterable) and how many more there are, so that a large bad input
+    gives a one-line error: validate's list as .violations, joined by "; "
+    as the message."""
+    rest = iter(violations)
+    named = list(islice(rest, _NAMED_VIOLATIONS))
+    more = sum(1 for _ in rest)
+    if more:
+        named.append(f"and {more} more")
+    err = InvalidDrawing("; ".join(named))
+    err.violations = named
+    return err
+
+
+def _line_violations(sides, size, name):
+    """The interior lines, from sides sorted as _sweep takes them, that host
+    other than one segment.  In an exact cover the far sides on a line do
+    not overlap and cover the points its near sides cover, so the runs of
+    the far sides are the line's segments."""
+    runs, end = Counter(), None
+    for far, start, stop, _, _ in sides:
+        if (far, start) != end:
+            runs[far] += 1
+        end = far, stop
+    return (f"line {name}={c} hosts {runs[c]} segments"
+            for c in range(1, size) if runs[c] != 1)
+
+
+def _order_violation(boxes, rmask, lmask, amask, bmask):
+    """The trichotomy violation of the first rect related to another one
+    in other than one way, else the total order's, from _sweep's masks."""
+    n = len(boxes)
+    full = (1 << n) - 1
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        masks = rmask[x1], lmask[x0], amask[y1], bmask[y0]
+        if (reduce(or_, masks) != full ^ 1 << i
+                or sum(map(int.bit_count, masks)) != n - 1):
+            j = next(j for j in range(n) if j != i and
+                     sum(m >> j & 1 for m in masks) != 1)
+            cands = [c for c, m in zip((LEFT, RIGHT, BELOW, ABOVE), masks)
+                     if m >> j & 1]
+            return f"relation trichotomy fails for rects {i},{j}: {cands}"
+    return "nw-se relation is not a total order"
+
+
+def _check(width, height, boxes):
+    """(pos, vsides, spans) of valid boxes: NW-SE positions, the vertical
+    sides sorted for _sweep, and lo, hi of the segment on each interior
+    line, verticals by x then horizontals by y.  Else raises _invalid: a
+    wrong rect count, then the first failure among the bounds, a box too
+    big for the count, the cover, the lines with the cross joints, the
+    trichotomy and the total order."""
+    if width < 1 or height < 1:
+        raise _invalid(["bounding box must have positive width and height"])
+    n = len(boxes)
+    found = []
+    if n != width + height - 1:
+        found.append(f"{n} rects cannot fill a {width}x{height} box "
+                     f"one segment per line (need {width + height - 1})")
+    X0, Y0, X1, Y1 = zip(*boxes) if boxes else ((),) * 4
+    if (min(X0, default=0) < 0 or min(Y0, default=0) < 0
+            or max(X1, default=0) > width or max(Y1, default=0) > height
+            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))):
+        bad = next(b for b in boxes if not (0 <= b[0] < b[2] <= width
+                                            and 0 <= b[1] < b[3] <= height))
+        raise _invalid(found + [f"rect {bad} outside box or degenerate"])
+    # A box's indicator is the signed sum of the quadrants at its corners,
+    # which are linearly independent, so the boxes tile the box iff SW + NE
+    # corners and (W,0), (0,H) equal SE + NW corners and (0,0), (W,H) as
+    # multisets.  A tiling has no two equal SW or NE corners, and a SW on a
+    # NE corner is a cross joint: as sets of 2n + 2 points, the two sides
+    # test the cover and the crossings at once.
+    plus = [*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)]
+    minus = [*zip(X1, Y0), *zip(X0, Y1), (0, 0), (width, height)]
+    corner_set = set(plus)
+    corners = len(corner_set) == 2 * n + 2 and corner_set == set(minus)
+    cells = width * height
+    # Only a wrong rect count lets the box be huge (W + H = n + 1 bounds
+    # W * H by (n + 1)^2 / 4), and its lines would take as long as it is wide.
+    huge = 4 * cells > (n + 1) ** 2
+    if huge or not corners and Counter(plus) != Counter(minus):
+        area = sum(map(mul, map(sub, X1, X0), map(sub, Y1, Y0)))
+        if area != cells or not huge:
+            more = "" if area != cells else ", some more than once"
+            found.append("union != bounding box or rects overlap "
+                         f"({area} cells covered of {cells}{more})")
+        raise _invalid(found)
+    del plus, minus, corner_set  # the sides below take as much again
+    vsides = sorted(zip(X1, Y0, Y1, X0, range(n)))
+    hsides = sorted(zip(Y1, X0, X1, Y0, range(n)))
+    # The sweep's arrays are W + H long, which a wrong count leaves unbounded
+    # by n, so a crossing or a bad line, one of them certain, is named then
+    # without it.  A line hosts one segment iff its sides fill lo..hi.
+    lines = False
+    if corners and not found:
+        bits = [1 << i for i in range(n)]
+        rmask, lmask, vlo, vhi = _sweep(vsides, bits, width)
+        amask, bmask, hlo, hhi = _sweep(hsides, bits, height)
+        lines = (len(set(X1)) == width and len(set(Y1)) == height
+                 and sum(Y1) - sum(Y0) == sum(vhi) - sum(vlo)
+                 and sum(X1) - sum(X0) == sum(hhi) - sum(hlo))
+    if not lines:
+        crosses = sorted(set(zip(X0, Y0)).intersection(zip(X1, Y1)))
+        raise _invalid(chain(
+            found, _line_violations(vsides, width, "x"),
+            _line_violations(hsides, height, "y"),
+            (f"cross joint at ({x},{y})" for x, y in crosses)))
+    # No endpoint check: take the top end (x, hi) of the segment on line x,
+    # hi < H.  No side of line x lies just above hi, so a rect spans x there;
+    # it cannot reach below hi, where line x parts two rects, so its bottom
+    # side has x strictly inside and lies in the one segment on line hi.  An
+    # end anywhere else would leave an L-shaped cell.  So every end lies
+    # strictly inside the segment it meets, and no two ends meet.
+    #
+    # Rect j is right of rect i iff i is left of j, and the same above and
+    # below, so the positions (rects left of or above each rect) add up to
+    # half the related ordered pairs.  If every pair is related and the
+    # positions are 0..n-1, that is n(n-1) pairs: none is related twice.
+    left = list(map(lmask.__getitem__, X0))
+    above = list(map(amask.__getitem__, Y1))
+    related = map(or_, map(or_, map(rmask.__getitem__, X1), left),
+                  map(or_, above, map(bmask.__getitem__, Y0)))
+    full = (1 << n) - 1
+    pos = list(map(add, map(int.bit_count, left), map(int.bit_count, above)))
+    if (not all(map(full.__eq__, map(or_, related, bits)))
+            or sorted(pos) != list(range(n))):
+        raise _invalid([_order_violation(boxes, rmask, lmask, amask, bmask)])
+    spans = (*chain.from_iterable(zip(vlo[1:width], vhi[1:width])),
+             *chain.from_iterable(zip(hlo[1:height], hhi[1:height])))
+    return pos, vsides, spans
 
 
 def _analyse(width, height, boxes):
-    """(pos, relations in NW-SE indices, spans) of valid boxes; raises
-    InvalidDrawing at the first violation.  spans holds lo, hi of the
-    segment on each interior line, verticals by x then horizontals by y.
-
-    One confirming pass makes _structure's and _nwse's checks as a few bulk
-    operations each; the first that fails hands the boxes to _structure and
-    _nwse, which raise the violation they find first."""
-    n = len(boxes)
-    if width < 1 or height < 1 or n != width + height - 1:
-        _refuse(width, height, boxes)
-    X0, Y0, X1, Y1 = zip(*boxes)
-    if (min(X0) < 0 or min(Y0) < 0 or max(X1) > width or max(Y1) > height
-            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))):
-        _refuse(width, height, boxes)
-    # The cover is _cover_violation's corner identity, SW + NE corners and
-    # (W,0), (0,H) against SE + NW corners and (0,0), (W,H).  A tiling has
-    # no two equal SW or NE corners, and a SW corner on a NE corner is a
-    # cross joint, so both sides as sets of 2n + 2 points test the cover
-    # and the crossings at once.
-    plus = {*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)}
-    if len(plus) != 2 * n + 2 or plus != {*zip(X1, Y0), *zip(X0, Y1), (0, 0),
-                                          (width, height)}:
-        _refuse(width, height, boxes)
-    bits = [1 << i for i in range(n)]
-    vsides = sorted(zip(X1, Y0, Y1, X0, range(n)))
-    rmask, lmask, vlo, vhi = _sweep(vsides, bits, width)
-    amask, bmask, hlo, hhi = _sweep(sorted(zip(Y1, X0, X1, Y0, range(n))),
-                                    bits, height)
-    # Once the cover is exact, the sides on a line do not overlap, so the
-    # line hosts one segment iff it has sides and they fill lo..hi.
-    if (len(set(X1)) != width or len(set(Y1)) != height
-            or sum(Y1) - sum(Y0) != sum(vhi) - sum(vlo)
-            or sum(X1) - sum(X0) != sum(hhi) - sum(hlo)):
-        _refuse(width, height, boxes)
-    # Every interior endpoint lies inside the segment on its line.  With
-    # one segment per line, no two endpoints can then coincide.
-    for x in range(1, width):
-        lo, hi = vlo[x], vhi[x]
-        if (lo and not hlo[lo] < x < hhi[lo]
-                or hi < height and not hlo[hi] < x < hhi[hi]):
-            _refuse(width, height, boxes)
-    for y in range(1, height):
-        lo, hi = hlo[y], hhi[y]
-        if (lo and not vlo[lo] < y < vhi[lo]
-                or hi < width and not vlo[hi] < y < vhi[hi]):
-            _refuse(width, height, boxes)
-    # _nwse's trichotomy and total order.  Rect j is right of rect i iff i
-    # is left of j, and the same above and below, so the positions (rects
-    # left of or above each rect) add up to half the related ordered pairs.
-    # If each rect is related to every other one and the positions are
-    # 0..n-1, that is n(n-1) pairs, so no pair is related twice.
-    left = list(map(lmask.__getitem__, X0))
-    above = list(map(amask.__getitem__, Y1))
-    right = map(rmask.__getitem__, X1)
-    below = map(bmask.__getitem__, Y0)
-    related = map(or_, map(or_, right, left), map(or_, above, below))
-    full = (1 << n) - 1
-    if not all(map(full.__eq__, map(or_, related, bits))):
-        _refuse(width, height, boxes)
-    pos = list(map(add, map(int.bit_count, left), map(int.bit_count, above)))
-    if sorted(pos) != list(range(n)):
-        _refuse(width, height, boxes)
-    # The relation matrix from the x-masks again, each rect's bit at its
-    # NW-SE position.  A rect before rect i in NW-SE order is left of it or
-    # above it; one after it is right of or below it.
+    """(pos, relations in NW-SE indices, spans) of valid boxes (_check).  A
+    rect before rect i in NW-SE order is left of or above it, one after it
+    right of or below it: the x-masks swept with NW-SE bits give each row."""
+    pos, vsides, spans = _check(width, height, boxes)
+    n = len(pos)
     rmask, lmask = _sweep(vsides, [1 << p for p in pos], width)[:2]
     top = 1 << n
     rows = [None] * n
-    for x0, x1, p in zip(X0, X1, pos):
+    for x1, _, _, x0, i in vsides:
+        p = pos[i]
         s = format(rmask[x1] | lmask[x0] | top, "b")[::-1]
         rows[p] = s[:p].translate(_BEFORE) + "." + s[p + 1:n].translate(_AFTER)
-    spans = (*chain.from_iterable(zip(vlo[1:width], vhi[1:width])),
-             *chain.from_iterable(zip(hlo[1:height], hhi[1:height])))
     return pos, tuple(rows), spans
 
 
@@ -414,22 +323,20 @@ def _line_spans(d):
 
 
 def validate(d: RectDrawing) -> list[str]:
-    """All invariant violations of d; empty list iff d is valid."""
-    out = []
-    _structure(d.width, d.height, d.rects, out)
-    if out:
-        return out
-    order = _nwse(d.width, d.height, d.rects, out)
-    if out:
-        return out
-    if order[0] != list(range(len(d.rects))):
+    """The violations of d, empty iff d is valid: the first five, then how
+    many more, as InvalidDrawing names them.  Builds no relation matrix."""
+    try:
+        pos = _check(d.width, d.height, d.rects)[0]
+    except InvalidDrawing as exc:
+        return exc.violations
+    if pos != list(range(len(pos))):
         return ["rects not listed in NW-SE order"]
     return []
 
 
 def make_drawing(width: int, height: int, boxes) -> RectDrawing:
     """Build a drawing from unordered boxes, sorting them into NW-SE order;
-    raises InvalidDrawing at the first violation."""
+    raises InvalidDrawing listing the violations as validate does."""
     return make_drawing_with_perm(width, height, boxes)[0]
 
 
@@ -466,13 +373,23 @@ def _json_loads(text, error):
         raise error("JSON input nested too deeply") from None
 
 
+# The most rects a JSON drawing may hold: the kernel's rows and masks grow
+# with the square of the count (`rectlab render` on a 16,001-rect strip
+# peaked at 361 MB of RSS).  It admits every drawing `rectlab map` prints:
+# 2,000 rects under bijections.COMPOSITION_CAP, 2,001 under NW_WORD_CAP.
+RECT_CAP = 4000
+
+
 def from_json(text: str) -> RectDrawing:
-    """Decode the JSON wire format; rejects non-integer fields and invalid
-    drawings."""
+    """Decode the JSON wire format; rejects non-integer fields, more than
+    RECT_CAP rects and invalid drawings."""
     obj = _json_loads(text, InvalidDrawing)
     if not isinstance(obj, dict) or not isinstance(obj.get("rects"), list):
         raise InvalidDrawing('expected an object with "width", "height" '
                              'and a "rects" list')
+    if len(obj["rects"]) > RECT_CAP:
+        raise InvalidDrawing(f"{len(obj['rects'])} rects exceed the cap of "
+                             f"{RECT_CAP}")
     boxes = []
     for r in obj["rects"]:
         if not isinstance(r, list) or len(r) != 4:
@@ -481,25 +398,8 @@ def from_json(text: str) -> RectDrawing:
         boxes.append(tuple(_json_int(v, "rect coordinate") for v in r))
     d = RectDrawing(_json_int(obj.get("width"), "width"),
                     _json_int(obj.get("height"), "height"), tuple(boxes))
-    # One analysis for a valid drawing, kept as its kernel; validate runs
-    # only to list the violations of an invalid one.
-    try:
-        _kernel(d)
-    except InvalidDrawing:
-        raise InvalidDrawing(_first_few(validate(d))) from None
+    _kernel(d)  # one analysis, kept; it names the violations as validate does
     return d
-
-
-# How many violations a from_json error names before it counts the rest.
-_NAMED_VIOLATIONS = 5
-
-
-def _first_few(violations):
-    """The first _NAMED_VIOLATIONS violations joined by "; ", then how many
-    more there are, so that a large bad input gives a one-line error."""
-    more = len(violations) - _NAMED_VIOLATIONS
-    tail = [f"and {more} more"] if more > 0 else []
-    return "; ".join(violations[:_NAMED_VIOLATIONS] + tail)
 
 
 def segments_of(d: RectDrawing) -> list[Segment]:

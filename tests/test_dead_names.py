@@ -1,4 +1,5 @@
-"""Every module-level function and constant of the package has a reader."""
+"""Every module-level function and constant of the package, and every
+module-level helper of the tests, has a reader."""
 
 import ast
 import re
@@ -9,8 +10,8 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def _definitions(path):
-    """(name, first line, last line) of each module-level function and
-    constant of the file; dunder names such as __version__ are left out."""
+    """(name, node) of each module-level function and constant of the file;
+    dunder names such as __version__ are left out."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef):
             names = [node.name]
@@ -23,19 +24,32 @@ def _definitions(path):
             continue
         for name in names:
             if not name.startswith("__"):
-                yield name, node.lineno, node.end_lineno
+                yield name, node
+
+
+def _found_by_pytest(name, node):
+    """Test functions, fixtures and hooks, which pytest reads by itself."""
+    return name.startswith(("test_", "pytest_")) or any(
+        "fixture" in ast.unparse(d)
+        for d in getattr(node, "decorator_list", ()))
 
 
 def test_every_top_level_name_is_read_somewhere():
     texts = {p: p.read_text()
              for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))}
+    files = [(p, lambda name, node: False)
+             for p in sorted((ROOT / "src" / "rectlab").glob("*.py"))]
+    files += [(p, _found_by_pytest)
+              for p in sorted((ROOT / "tests").rglob("*.py"))]
     dead = []
-    for path in sorted((ROOT / "src" / "rectlab").glob("*.py")):
+    for path, exempt in files:
         lines = texts[path].splitlines()
         rest = "\n".join(t for p, t in texts.items() if p != path)
-        for name, first, last in _definitions(path):
-            own = "\n".join(lines[:first - 1] + lines[last:])
+        for name, node in _definitions(path):
+            if exempt(name, node):
+                continue
+            own = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not (word.search(own) or word.search(rest)):
-                dead.append(f"{path.name}:{first} {name}")
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, dead

@@ -309,12 +309,12 @@ def _ref_structure_violations(width, height, boxes):
         for y in range(y0, y1):
             for x in range(x0, x1):
                 cover[y][x] += 1
-    for y in range(height):
-        for x in range(width):
-            if cover[y][x] != 1:
-                out.append("union != bounding box or rects overlap "
-                           f"(cell ({x},{y}) covered {cover[y][x]} times)")
-                return out
+    if any(c != 1 for row in cover for c in row):
+        area = sum(map(sum, cover))
+        more = ", some more than once" if area == width * height else ""
+        out.append("union != bounding box or rects overlap "
+                   f"({area} cells covered of {width * height}{more})")
+        return out
     vruns, hruns = _ref_line_runs(boxes, width, height)
     segs = []
     for x in range(1, width):
@@ -325,11 +325,15 @@ def _ref_structure_violations(width, height, boxes):
         if len(hruns[y]) != 1:
             out.append(f"line y={y} hosts {len(hruns[y])} segments")
         segs += [Segment("h", y, lo, hi) for lo, hi in hruns[y]]
+    one_per_line = all(len(runs) == 1 for runs in itertools.chain(
+        vruns.values(), hruns.values()))
     for v in segs:
         for h in segs:
             if v.orientation == "v" and h.orientation == "h" and \
                     h.lo < v.axis < h.hi and v.lo < h.axis < v.hi:
                 out.append(f"cross joint at ({v.axis},{h.axis})")
+    if not one_per_line:  # the endpoint violations below follow from it
+        return out
     seen = set()
     hseg = {s.axis: s for s in segs if s.orientation == "h"}
     vseg = {s.axis: s for s in segs if s.orientation == "v"}
@@ -564,24 +568,32 @@ def _ref_tilings(width, height, max_rects, reverse=False):
 _UNION = "union != bounding box or rects overlap"
 
 
-def _same_violations(got, want):
-    """validate lists agree; the cover message keeps only its prefix, as
-    the cover check no longer names a cell."""
-    def norm(msgs):
-        return [_UNION if m.startswith(_UNION) else m for m in msgs]
-    return norm(got) == norm(want)
+def _bounded(violations):
+    """The first five violations, then how many more there are."""
+    more = len(violations) - 5
+    return violations[:5] + ([f"and {more} more"] if more > 0 else [])
+
+
+def _refusal(build):
+    """The message of the InvalidDrawing that build() raises."""
+    with pytest.raises(InvalidDrawing) as exc:
+        build()
+    return str(exc.value)
 
 
 def _boxes_agree(width, height, boxes):
     """Kernel and reference agree on boxes: same validate list, same
-    accept/reject, and on an accepted drawing every derived fact.  Returns
-    whether the boxes were accepted."""
+    accept/reject, one message from make_drawing, from_json and validate,
+    and on an accepted drawing every derived fact.  Returns whether the
+    boxes were accepted."""
     literal = RectDrawing(width, height, tuple(boxes))
     violations, rel = _ref_check(literal)
-    assert _same_violations(validate(literal), violations), boxes
+    got = validate(literal)
+    assert got == _bounded(violations), boxes
     if rel is None:
-        with pytest.raises(InvalidDrawing):
-            make_drawing(width, height, boxes)
+        message = "; ".join(got)
+        assert _refusal(lambda: make_drawing(width, height, boxes)) == message
+        assert _refusal(lambda: from_json(literal.to_json())) == message
         return False
     # make_drawing reorders the boxes, and the matrix with them
     pos = _ref_order_positions(rel, "nw-se")
@@ -655,29 +667,22 @@ def test_kernel_matches_reference_on_perturbed_boxes():
             _boxes_agree(width, height, boxes)
 
 
-# _analyse's bulk pass against the checks it confirms: _structure and
-# _nwse, spelt out one check at a time, and the relation matrix built one
-# character at a time.
-
-
-def _ref_rows(pos, right, left):
-    inv = [0] * len(pos)
-    for i, p in enumerate(pos):
-        inv[p] = i
-    rows = []
-    for p, i in enumerate(inv):
-        r, l = right[i], left[i]
-        rows.append("".join(
-            ["R" if l >> j & 1 else "B" for j in inv[:p]] + ["."]
-            + ["L" if r >> j & 1 else "A" for j in inv[p + 1:]]))
-    return tuple(rows)
+# _analyse's bulk pass against the reference above: the checks spelt out
+# one at a time, and the relation matrix built one character at a time.
 
 
 def _ref_analyse(width, height, boxes):
-    segs = drawing._structure(width, height, boxes)
-    pos, right, left = drawing._nwse(width, height, boxes)
-    spans = tuple(v for _, _, lo, hi in segs for v in (lo, hi))
-    return pos, _ref_rows(pos, right, left), spans
+    """(pos, relations in NW-SE indices, spans) as _analyse gives them, or
+    InvalidDrawing with validate's list as its message."""
+    d = RectDrawing(width, height, tuple(boxes))
+    violations, rel = _ref_check(d)
+    if rel is None:
+        raise InvalidDrawing("; ".join(_bounded(violations)))
+    pos = _ref_order_positions(rel, "nw-se")
+    inv = sorted(range(len(pos)), key=pos.__getitem__)
+    rows = tuple("".join(rel[i][j] for j in inv) for i in inv)
+    spans = tuple(v for s in _ref_segments_of(d) for v in (s.lo, s.hi))
+    return pos, rows, spans
 
 
 def _analysis(analyse, width, height, boxes):
@@ -804,12 +809,6 @@ def test_bulk_pass_matches_the_checks_on_perturbed_boxes(ctx, n, pick, edits,
     _assert_same_analysis(width, height, boxes)
 
 
-def test_a_valid_drawing_refused_is_an_internal_error(pinwheel):
-    # what the bulk pass refuses, _structure and _nwse must refuse too
-    with pytest.raises(RuntimeError):
-        drawing._refuse(pinwheel.width, pinwheel.height, pinwheel.rects)
-
-
 def test_to_json_writes_what_json_dumps_writes(ctx):
     for d in [d for n in range(1, 8) for d in ctx.strong(n)]:
         assert d.to_json() == json.dumps(
@@ -829,20 +828,32 @@ def test_foreign_drawings_are_checked_before_their_relations():
             segments_of(d)
 
 
-def test_make_drawing_raises_the_first_violation_only():
-    # a wrong count comes before the lines and the cover
-    with pytest.raises(InvalidDrawing) as exc:
-        make_drawing(3, 1, [(0, 0, 1, 1), (2, 0, 3, 1)])
-    assert str(exc.value) == \
-        "2 rects cannot fill a 3x1 box one segment per line (need 3)"
-    # two segments on line y=1 are found before the empty middle column,
-    # which validate reports first and alone
+def test_make_drawing_raises_the_violations_validate_lists():
+    # a wrong count is listed, and checking goes on to the cover
+    assert _refusal(lambda: make_drawing(3, 1, [(0, 0, 1, 1), (2, 0, 3, 1)])) \
+        == ("2 rects cannot fill a 3x1 box one segment per line (need 3); "
+            f"{_UNION} (2 cells covered of 3)")
+    # the empty middle column ends the list before line y=1, which hosts
+    # two segments
     boxes = [(0, 0, 1, 1), (0, 1, 1, 2), (2, 0, 3, 1), (2, 1, 3, 2)]
-    with pytest.raises(InvalidDrawing) as exc:
-        make_drawing(3, 2, boxes)
-    assert str(exc.value) == "line y=1 hosts 2 segments"
+    assert _refusal(lambda: make_drawing(3, 2, boxes)) == \
+        f"{_UNION} (4 cells covered of 6)"
     assert validate(RectDrawing(3, 2, tuple(boxes))) == [
         f"{_UNION} (4 cells covered of 6)"]
+
+
+def test_validate_names_five_violations_of_a_large_grid():
+    # 300 x 300 unit squares: 299^2 = 89,401 cross joints
+    grid = RectDrawing(300, 300, tuple((x, y, x + 1, y + 1)
+                                       for x in range(300)
+                                       for y in range(300)))
+    assert validate(grid) == [
+        "90000 rects cannot fill a 300x300 box one segment per line "
+        "(need 599)",
+        "cross joint at (1,1)", "cross joint at (1,2)", "cross joint at (1,3)",
+        "cross joint at (1,4)", "and 89397 more"]
+    assert _refusal(lambda: from_json(grid.to_json())) == \
+        f"90000 rects exceed the cap of {drawing.RECT_CAP}"
 
 
 def test_validate_checks_the_cover_without_a_grid():

@@ -189,23 +189,39 @@ def test_cli_map_refuses_input_of_the_wrong_kind(capsys, tmp_path, d3, argv,
 
 
 def test_cli_errors_about_large_inputs_stay_short(capsys, tmp_path):
-    """A 100 x 100 grid of unit squares has 9,801 cross joints, and a long
-    sequence is echoed in its class error: both errors stay under 1 KB."""
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "width": 100, "height": 100,
-        "rects": [[x, y, x + 1, y + 1] for x in range(100)
-                  for y in range(100)]}))
+    """A 100 x 100 grid of unit squares has more rects than the cap, a
+    60 x 60 one has 3,481 cross joints, and a long sequence is echoed in its
+    class error: all three errors stay under 1 KB."""
+    argvs = []
+    for side, named in ((100, "rects exceed the cap"),
+                        (60, "cross joint at (1,1)")):
+        grid = tmp_path / f"grid{side}.json"
+        grid.write_text(json.dumps({
+            "width": side, "height": side,
+            "rects": [[x, y, x + 1, y + 1] for x in range(side)
+                      for y in range(side)]}))
+        argvs.append((["render", "--input", str(grid)], named))
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps(list(range(3000)) + [0]))
-    for argv in (["render", "--input", str(grid)],
-                 ["map", "--bijection", "tau", "--direction", "inv",
-                  "--input", str(seq)]):
+    argvs.append((["map", "--bijection", "tau", "--direction", "inv",
+                   "--input", str(seq)], "is not non-decreasing"))
+    for argv, named in argvs:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert named in captured.err
         assert len(captured.err.encode()) < 1024, captured.err[:200]
         assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_render_refuses_a_drawing_above_the_rect_cap(capsys, tmp_path):
+    # a valid strip: one row of 16,001 unit squares, whose relation rows
+    # alone would hold 16,001^2 characters
+    strip = tmp_path / "strip.json"
+    strip.write_text(json.dumps({
+        "width": 16001, "height": 1,
+        "rects": [[x, 0, x + 1, 1] for x in range(16001)]}))
+    _assert_refused(capsys, ["render", "--input", str(strip)])
 
 
 def test_inverse_maps_refuse_the_empty_sequence():
