@@ -404,23 +404,29 @@ def replay_levels(tree, n):
     """Yield, for m = 1..n, {e: drawing} over the level-m sequences e of the
     tree in lexicographic order (class i7 for t1, I(011,201) for t2), each
     drawing equal to replay_rect(trace_of_invseq(e, tree), tree).  The traces
-    of a level extend those of the level above, so each member's boxes grow
-    by one step from its parent's, and only the last level's boxes are held."""
+    of a level extend those of the level above, so each member's boxes and
+    avoidance state grow by one step from its parent's, and only the last
+    level's boxes are held."""
     _check_tree(tree)
     if n < 1:
         raise ValueError("level must be >= 1")
     cls = "i7"
-    level = [((0,), _ROOT)]
+    signs, state, ext = _root_state(tree, cls)
+    # a member carries its avoidance state and admissible values, which give
+    # its children and, on t1, its own step type
+    level = [((0,), _ROOT, state, ext)]
     for m in range(1, n + 1):
         if m > 1:
             children = []
-            for e, g in level:
-                ext = _admissible(e, tree, cls)
-                children += [(e + (u,),
-                              _grow(g, tree, _step(e, u, tree, cls, ext)))
-                             for u in ext]
+            for e, g, state, ext in level:
+                for u in ext:
+                    kid = invseq._extend(state, u, signs)
+                    kid_ext = invseq._allowed(kid, m)
+                    step = _step(e, u, tree, cls, ext, kid_ext)
+                    children.append((e + (u,), _grow(g, tree, step), kid,
+                                     kid_ext))
             level = children
-        yield {e: _drawing(g)[0] for e, g in level}
+        yield {e: _drawing(g)[0] for e, g, _, _ in level}
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +450,44 @@ def _check_seq(e, tree, cls):
     return e
 
 
+def _class_patterns(tree, cls):
+    """The compiled patterns of the tree's sequence class."""
+    pats = invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS
+    return tuple(map(invseq._pattern, pats))
+
+
+def _root_state(tree, cls):
+    """(avoidance signs of the class, avoidance state of the root (0,), its
+    admissible values)."""
+    signs, state = invseq._avoidance(_class_patterns(tree, cls))
+    state = invseq._extend(state, 0, signs)
+    return signs, state, invseq._allowed(state, 1)
+
+
 def _admissible(e, tree, cls):
     """The values u, ascending, for which e + (u,) is in the class; e must
     be a member, as every node is."""
-    pats = invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS
-    return invseq._avoiding_values(e, tuple(map(invseq._pattern, pats)))
+    return invseq._avoiding_values(e, _class_patterns(tree, cls))
 
 
-def _type_seq(e, tree, cls):
+def _type_seq(e, tree, cls, admissible=None):
+    """The type of e; its admissible values are found here unless given."""
+    if admissible is None:
+        admissible = _admissible(e, tree, cls)
     m = max(e)
     lo, hi = (0, e[-1] if cls == "i7" else m) if tree == "t1" else (1, m)
-    return (len(e) - m,
-            sum(1 for u in _admissible(e, tree, cls) if lo <= u < hi))
+    return (len(e) - m, sum(1 for u in admissible if lo <= u < hi))
 
 
-def _step(e, u, tree, cls, admissible=None):
+def _step(e, u, tree, cls, admissible=None, child_admissible=None):
     """The step that appends the admissible value u to e.  A t2 "**" step
-    ranks u among e's admissible values, found here unless given."""
+    ranks u among e's admissible values and a t1 "**" step types the child
+    e + (u,), each from admissible values found here unless given."""
     m = max(e)
     if u > m:
         return (STAR, u - m)
     if tree == "t1":
-        return (DSTAR, _type_seq(e + (u,), tree, cls)[1])
+        return (DSTAR, _type_seq(e + (u,), tree, cls, child_admissible)[1])
     if u == 0:
         return (TSTAR, None)
     if admissible is None:
@@ -502,18 +524,22 @@ def trace_of_invseq(e, tree, cls="i7"):
 
 
 def replay_invseq(trace, tree, cls="i7"):
-    """Append, for each step, the one admissible value it names; the search
-    runs from the largest value down, so a "*" step types no child."""
+    """Append, for each step, the one admissible value it names, searching
+    from the largest value down.  The sequence carries its avoidance state
+    and admissible values from step to step, as in replay_levels."""
     e = _check_seq((0,), tree, cls)
+    signs, state, ext = _root_state(tree, cls)
     for rule, param in trace:
         _check_param(rule, param)
-        ext = _admissible(e, tree, cls)
-        u = next((u for u in reversed(ext)
-                  if _step(e, u, tree, cls, ext) == (rule, param)), None)
-        if u is None:
+        for u in reversed(ext):
+            kid = invseq._extend(state, u, signs)
+            kid_ext = invseq._allowed(kid, len(e) + 1)
+            if _step(e, u, tree, cls, ext, kid_ext) == (rule, param):
+                break
+        else:
             raise ValueError(f"{tree} has no step {(rule, param)} "
                              f"below {_brief(e)}")
-        e += (u,)
+        e, state, ext = e + (u,), kid, kid_ext
     return e
 
 

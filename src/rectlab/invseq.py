@@ -36,19 +36,23 @@ def check_invseq(e):
 
 @lru_cache(maxsize=256)
 def _compile(p, initial_range):
-    """(length k, comparison table, its rows within the first k-1 letters,
-    (a, sign) for each comparison of letter a with the last letter) of the
-    pattern word p.  The table lists (a, b, sign of w[a] - w[b]) for every
-    pair of positions a < b, so a candidate occurrence is tested without
-    re-deriving the word's order."""
+    """(length k, comparison table, avoidance signs) of the pattern word p.
+    The table lists (a, b, sign of w[a] - w[b]) for every pair of positions
+    a < b, so a candidate occurrence is tested without re-deriving the
+    word's order.  The signs are what the avoidance step (_extend) reads,
+    with sab the sign of w[a] - w[b]: (s01, s20, s21) for a word w0 w1 w2,
+    (s10,) for w0 w1, () for shorter words and None for longer ones, which
+    the step refuses."""
     w = tuple(int(c) for c in p) if isinstance(p, str) else p
     if initial_range and w and set(w) != set(range(max(w) + 1)):
         raise ValueError(f"pattern {p!r} must use an initial value range")
     k = len(w)
     table = tuple((a, b, (w[a] > w[b]) - (w[a] < w[b]))
                   for a in range(k) for b in range(a + 1, k))
-    return (k, table, tuple(row for row in table if row[1] < k - 1),
-            tuple((a, sign) for a, b, sign in table if b == k - 1))
+    sign = {(a, b): s for a, b, s in table}
+    signs = ((sign[0, 1], -sign[0, 2], -sign[1, 2]) if k == 3
+             else (-sign[0, 1],) if k == 2 else () if k < 2 else None)
+    return k, table, signs
 
 
 def _pattern(p, initial_range=True):
@@ -88,35 +92,73 @@ def avoids_all(e, pats) -> bool:
     return not any(contains_pattern(e, p) for p in pats)
 
 
+# The avoidance step.  A search over prefixes carries, per prefix, the state
+# (seen, forbidden) of two int masks: bit x of seen is set when the prefix
+# holds the value x, and bit u of forbidden when appending u would complete
+# an occurrence of some pattern.  Appending v to a prefix that avoids the
+# patterns forbids, for a word w0 w1 w2, the values u with
+# sign(u - v) = sign(w2 - w1) and sign(u - x) = sign(w2 - w0) for some
+# earlier x with sign(x - v) = sign(w0 - w1): the x are the bits of
+# seen & _rel_mask(s01, v), and _rel_union joins their ranges without a loop.
+# A word w0 w1 forbids the u with sign(u - v) = sign(w1 - w0), and the empty
+# word and one-letter words forbid every value from the start.  A mask of
+# values above some y is negative: Python's ints carry its ones on forever.
+
+
+def _rel_mask(s, y):
+    """The mask of the values z >= 0 with sign(z - y) = s."""
+    if s < 0:
+        return (1 << y) - 1
+    return 1 << y if s == 0 else -2 << y
+
+
+def _rel_union(s, xs):
+    """The mask of the values z >= 0 with sign(z - x) = s for some x in the
+    nonzero mask xs: below its largest x, its x, or above its smallest x."""
+    if s < 0:
+        return (1 << xs.bit_length() - 1) - 1
+    return xs if s == 0 else -(xs & -xs) << 1
+
+
+def _avoidance(pats):
+    """The sign tuples of the compiled patterns and the state of the empty
+    prefix; a word of more than three letters is refused."""
+    signs = tuple(pat[2] for pat in pats)
+    if None in signs:
+        raise ValueError("the avoidance search takes pattern words of at "
+                         "most three letters")
+    return signs, (0, -1 if () in signs else 0)
+
+
+def _extend(state, v, signs):
+    """The state of prefix + (v,) from the state of a prefix that, with v,
+    avoids the patterns."""
+    seen, forbidden = state
+    for s in signs:
+        if len(s) == 3:
+            xs = seen & _rel_mask(s[0], v)
+            if xs:
+                forbidden |= _rel_mask(s[2], v) & _rel_union(s[1], xs)
+        elif s:
+            forbidden |= _rel_mask(s[0], v)
+    return seen | 1 << v, forbidden
+
+
+def _allowed(state, m):
+    """The values 0..m, ascending, that a length-m prefix in the given state
+    may be extended by."""
+    forbidden = state[1]
+    return [v for v in range(m + 1) if not forbidden >> v & 1]
+
+
 def _avoiding_values(prefix, pats):
     """Values v such that prefix + (v,) is an inversion sequence avoiding
-    the compiled patterns, given that the prefix avoids them: every
-    occurrence must then end at v.  Each distinct (k-1)-tuple of the prefix
-    that matches a pattern's first k-1 letters rules out the values that its
-    last letter allows, an interval or a single value."""
-    top = len(prefix)
-    allowed = [True] * (top + 1)
-    for pat in pats:
-        k, _, head, last = pat
-        if k == 0:
-            return []
-        for vals in set(combinations(prefix, k - 1)):
-            for a, b, sign in head:
-                x, y = vals[a], vals[b]
-                if (x > y) - (x < y) != sign:
-                    break
-            else:
-                lo, hi = 0, top
-                for a, sign in last:
-                    if sign > 0:
-                        hi = min(hi, vals[a] - 1)
-                    elif sign < 0:
-                        lo = max(lo, vals[a] + 1)
-                    else:
-                        lo, hi = max(lo, vals[a]), min(hi, vals[a])
-                if lo <= hi:
-                    allowed[lo:hi + 1] = [False] * (hi - lo + 1)
-    return [v for v in range(top + 1) if allowed[v]]
+    the compiled patterns, given that the prefix avoids them: the
+    avoidance step folded over the prefix."""
+    signs, state = _avoidance(pats)
+    for v in prefix:
+        state = _extend(state, v, signs)
+    return _allowed(state, len(prefix))
 
 
 # Longest sequences enumerate_invseq lists when it avoids some pattern.
@@ -124,20 +166,28 @@ LENGTH_CAP = 10
 
 
 def enumerate_invseq(n, avoid=()):
-    """All length-n inversion sequences avoiding the given patterns, in
-    lexicographic order."""
+    """All length-n inversion sequences avoiding the given patterns (words
+    of at most three letters), in lexicographic order.  Each prefix carries
+    its avoidance state, so a child costs one step per pattern."""
+    if n < 0:
+        raise ValueError("length must be >= 0")
     if avoid and n > LENGTH_CAP:
         raise ValueError(f"length {n} exceeds the cap {LENGTH_CAP}")
-    pats = tuple(_pattern(p) for p in avoid)
+    signs, start = _avoidance([_pattern(p) for p in avoid])
 
-    def rec(prefix):
-        if len(prefix) == n:
-            yield prefix
+    def rec(prefix, state):
+        m = len(prefix)
+        if m + 1 == n:
+            for v in _allowed(state, m):
+                yield prefix + (v,)
             return
-        for v in _avoiding_values(prefix, pats):
-            yield from rec(prefix + (v,))
+        for v in _allowed(state, m):
+            yield from rec(prefix + (v,), _extend(state, v, signs))
 
-    yield from rec(())
+    if n == 0:
+        yield ()
+    else:
+        yield from rec((), start)
 
 
 def count_invseq(n, avoid=()) -> int:

@@ -71,14 +71,16 @@ def _row_count(mode, avoid, n):
 
 
 class _Ctx:
-    """Shared memo for the expensive enumerations.  The lists it returns are
-    shared by every caller, which must not change them."""
+    """Shared memo for the expensive enumerations and for the grown drawings
+    of the binary trees.  The lists and dicts it returns are shared by every
+    caller, which must not change them."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self._strong = {}
         self._weak = {}
         self._classes = {}
+        self._grown = {}
 
     def strong(self, n):
         if n not in self._strong:
@@ -98,6 +100,13 @@ class _Ctx:
             pool = self.strong(n) if mode == "strong" else self.weak(n)
             self._classes[key] = [d for d in pool if avoids_all(d, avoid)]
         return self._classes[key]
+
+    def grown(self, n):
+        """{tree: bij.rect_of_tree(tree)} over the binary trees with n
+        nodes."""
+        if n not in self._grown:
+            self._grown[n] = {t: bij.rect_of_tree(t) for t in bij.all_trees(n)}
+        return self._grown[n]
 
     def strong_class(self, n, avoid):
         return self._class("strong", n, avoid)
@@ -120,8 +129,8 @@ def suite_catalan(ctx, max_n=6):
     got = [len(ctx.weak_class(n, ("td",))) for n in range(1, max_n + 1)]
     r.check(f"universe weak td-avoider counts n<={max_n} = {want}", got == want)
     for n in range(1, max_n + 1):
-        ok = all(bij.tau(bij.rect_of_tree(t)) == bij.tree_to_seq(t)
-                 for t in bij.all_trees(n))
+        ok = all(bij.tau(d) == bij.tree_to_seq(t)
+                 for t, d in ctx.grown(n).items())
         r.check(f"n={n}: grown drawings read back as the structural images",
                 ok)
     levels = bij.tree_image_levels(12)
@@ -243,7 +252,7 @@ def suite_bijections(ctx, max_n=7):
                            _read_level(mono, bij.tau_inv, bij.epsilon_inv),
                            weak_key)
                 and all(bij.delta_direct(d) == bij.delta(d) for d in wk))
-        grown = {t: bij.rect_of_tree(t) for t in bij.all_trees(n)}
+        grown = ctx.grown(n)
         r.check(f"n={n}: tree construction round trips",
                 _bijective(wk, bij.tree_of,
                            _read_level(grown, bij.rect_of_tree), weak_key)

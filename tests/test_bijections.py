@@ -210,6 +210,21 @@ def test_catalan_suite_fails_on_a_repeated_tree_image(ctx, monkeypatch):
         ["FAIL n=5: tree images distinct and Catalan-many"]
 
 
+def test_one_verify_run_grows_each_binary_tree_once(monkeypatch):
+    grown = []
+    real = bij.rect_of_tree
+
+    def counting(t):
+        grown.append(t)
+        return real(t)
+
+    monkeypatch.setattr(bij, "rect_of_tree", counting)
+    run = verify._Ctx()
+    assert verify.suite_catalan(run, max_n=4).ok
+    assert verify.suite_bijections(run, max_n=5).ok
+    assert len(grown) == len(set(grown)) == sum(map(catalan, range(1, 6)))
+
+
 def _ref_rect_of_tree(t):
     """rect_of_tree as a recursion that builds each subtree's drawing."""
     left, right = t

@@ -819,6 +819,13 @@ def test_replay_levels_match_one_replay_per_member(tree):
     assert seen == sum(level_counts(tree, 7))
 
 
+@pytest.mark.slow
+def test_replay_levels_reach_past_the_universe():
+    *_, level = replay_levels("t1", 9)
+    assert list(level) == list(
+        invseq.enumerate_invseq(9, invseq.CLASS_PATTERNS["i7"]))
+
+
 def test_replay_levels_refuse_bad_input():
     with pytest.raises(ValueError, match="unknown tree"):
         next(replay_levels("t3", 2))

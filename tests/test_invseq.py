@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from rectlab import invseq
+from rectlab import gentree, invseq
 from rectlab.paths import catalan
 
 FIG_EXAMPLE = (0, 0, 0, 3, 4, 3, 5)
@@ -66,6 +66,31 @@ def test_counts():
         assert invseq.count_invseq(n, ("10",)) == catalan(n)
     with pytest.raises(ValueError):
         invseq.count_invseq(11, ("10",))
+
+
+def test_negative_lengths_are_refused():
+    for avoid in ((), ("10",), invseq.CLASS_PATTERNS["i7"]):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            next(invseq.enumerate_invseq(-1, avoid))
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            invseq.count_invseq(-1, avoid)
+        assert list(invseq.enumerate_invseq(0, avoid)) == [()]
+
+
+_STRONG_TD_COUNTS = {9: 13311, 10: 59146}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(_STRONG_TD_COUNTS))
+def test_class_counts_past_the_universe(n):
+    """The four classes counted by tree t1, and the Catalan class, past the
+    strong universe and up to LENGTH_CAP."""
+    want = gentree.count_by_tree("t1", n)
+    assert want == _STRONG_TD_COUNTS[n]
+    for pats in [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")] + [
+            ("011", "201")]:
+        assert invseq.count_invseq(n, pats) == want, pats
+    assert invseq.count_invseq(n, ("10",)) == catalan(n)
 
 
 def test_class_check_equals_pattern_filter():
@@ -217,6 +242,28 @@ def test_enumeration_prunes_like_full_containment():
         for pats in sets:
             assert list(invseq.enumerate_invseq(n, pats)) == \
                 [e for e in every if invseq.avoids_all(e, pats)], (n, pats)
+    # every pair of two- and three-letter words, from one containment scan
+    # per word and sequence
+    words = [w for w in _words() if len(w) > 1]
+    for n in range(1, 7):
+        every = list(invseq.enumerate_invseq(n))
+        hits = {w: [invseq.contains_pattern(e, w) for e in every]
+                for w in words}
+        for a, b in combinations(words, 2):
+            assert list(invseq.enumerate_invseq(n, (a, b))) == \
+                [e for e, x, y in zip(every, hits[a], hits[b])
+                 if not (x or y)], (n, a, b)
+
+
+def test_the_avoidance_search_refuses_words_of_four_letters():
+    with pytest.raises(ValueError, match="at most three letters"):
+        next(invseq.enumerate_invseq(5, ("10", "0120")))
+    with pytest.raises(ValueError, match="at most three letters"):
+        invseq._avoiding_values((0, 1), (invseq._pattern("0120"),))
+    assert invseq.contains_pattern((0, 1, 2, 0), "0120")
+    assert not invseq.contains_pattern((0, 1, 2, 1), "0120")
+    assert invseq.avoids_all((0, 0, 1, 2), ("0120", "1000"))
+    assert invseq.perm_contains((2, 4, 1, 3), "2413")
 
 
 def _avoiding_values_by_last_entry(prefix, pats):
