@@ -89,12 +89,9 @@ def delta_inv(word: str) -> RectDrawing:
 
 
 def beta(d: RectDrawing):
-    """Label rects 1..n in SE-NW order, read the labels in SW-NE order."""
-    senw = order_labels(d, "se-nw")
-    label = [0] * d.size
-    for pos, r in enumerate(senw, 1):
-        label[r] = pos
-    return tuple(label[r] for r in order_labels(d, "sw-ne"))
+    """Label rects 1..n in SE-NW order, read the labels in SW-NE order.
+    SE-NW is the stored order reversed, so rect r gets the label n - r."""
+    return tuple(d.size - r for r in order_labels(d, "sw-ne"))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,8 @@ def cmd_trace(args):
 
 
 def cmd_render(args):
+    if args.diagonal and args.format == "ascii":
+        raise UsageError("--diagonal needs --format svg")
     d = from_json(_load_input(args))
     if args.format == "ascii":
         print(render_ascii(d, labels=args.labels, joints=args.joints))

@@ -14,22 +14,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, islice
-from operator import add, lt, mul, or_, sub
+from operator import add, lt, mul, sub
 
 Box = tuple[int, int, int, int]  # (x0, y0, x1, y1), y up
 
 LEFT, RIGHT, ABOVE, BELOW = "L", "R", "A", "B"
-_INVERSE = {LEFT: RIGHT, RIGHT: LEFT, ABOVE: BELOW, BELOW: ABOVE}
-
-# Characters of relations_of(x, y) that put x before y in each ordering.
-_ORDER_CHARS = {
-    "nw-se": (LEFT, ABOVE),
-    "sw-ne": (LEFT, BELOW),
-    "se-nw": (RIGHT, BELOW),
-    "ne-sw": (RIGHT, ABOVE),
-}
 
 
 @dataclass(frozen=True)
@@ -74,9 +65,11 @@ class InvalidDrawing(ValueError):
 # ---------------------------------------------------------------------------
 # The drawing kernel.  _check is the one validity check: bulk operations
 # over the box columns test the bounds, the cover and the crossings (two
-# corner sets), one segment per line (a sweep of the sides sorted by line),
-# the trichotomy and the total order, and a failed test names its
-# violations from the data it holds.  _analyse adds the relation matrix,
+# corner sets) and one segment per line (a sweep of the sides sorted by
+# line), and a failed test names its violations from the data it holds.
+# The four diagonal orders follow from the cover: the NW-SE positions come
+# from the same sweep, and order_labels derives the others from the stored
+# NW-SE order.  _analyse adds the relation matrix,
 # and make_drawing keeps (relations in NW-SE indices, segment spans) as the
 # kernel of the drawing it returns, which relations_of, segments_of,
 # joints_of, heap_order, order_labels, l_labels, canonical_drawing,
@@ -173,30 +166,13 @@ def _line_violations(sides, size, name):
             for c in range(1, size) if runs[c] != 1)
 
 
-def _order_violation(boxes, rmask, lmask, amask, bmask):
-    """The trichotomy violation of the first rect related to another one
-    in other than one way, else the total order's, from _sweep's masks."""
-    n = len(boxes)
-    full = (1 << n) - 1
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
-        masks = rmask[x1], lmask[x0], amask[y1], bmask[y0]
-        if (reduce(or_, masks) != full ^ 1 << i
-                or sum(map(int.bit_count, masks)) != n - 1):
-            j = next(j for j in range(n) if j != i and
-                     sum(m >> j & 1 for m in masks) != 1)
-            cands = [c for c, m in zip((LEFT, RIGHT, BELOW, ABOVE), masks)
-                     if m >> j & 1]
-            return f"relation trichotomy fails for rects {i},{j}: {cands}"
-    return "nw-se relation is not a total order"
-
-
 def _check(width, height, boxes):
     """(pos, vsides, spans) of valid boxes: NW-SE positions, the vertical
     sides sorted for _sweep, and lo, hi of the segment on each interior
     line, verticals by x then horizontals by y.  Else raises _invalid: a
     wrong rect count, then the first failure among the bounds, a box too
-    big for the count, the cover, the lines with the cross joints, the
-    trichotomy and the total order."""
+    big for the count, the cover, and the lines with the cross joints.
+    The NW-SE order follows from the cover, so it needs no test."""
     if width < 1 or height < 1:
         raise _invalid(["bounding box must have positive width and height"])
     n = len(boxes)
@@ -241,8 +217,8 @@ def _check(width, height, boxes):
     lines = False
     if corners and not found:
         bits = [1 << i for i in range(n)]
-        rmask, lmask, vlo, vhi = _sweep(vsides, bits, width)
-        amask, bmask, hlo, hhi = _sweep(hsides, bits, height)
+        _, lmask, vlo, vhi = _sweep(vsides, bits, width)
+        amask, _, hlo, hhi = _sweep(hsides, bits, height)
         lines = (len(set(X1)) == width and len(set(Y1)) == height
                  and sum(Y1) - sum(Y0) == sum(vhi) - sum(vlo)
                  and sum(X1) - sum(X0) == sum(hhi) - sum(hlo))
@@ -259,19 +235,18 @@ def _check(width, height, boxes):
     # end anywhere else would leave an L-shaped cell.  So every end lies
     # strictly inside the segment it meets, and no two ends meet.
     #
-    # Rect j is right of rect i iff i is left of j, and the same above and
-    # below, so the positions (rects left of or above each rect) add up to
-    # half the related ordered pairs.  If every pair is related and the
-    # positions are 0..n-1, that is n(n-1) pairs: none is related twice.
-    left = list(map(lmask.__getitem__, X0))
-    above = list(map(amask.__getitem__, Y1))
-    related = map(or_, map(or_, map(rmask.__getitem__, X1), left),
-                  map(or_, above, map(bmask.__getitem__, Y0)))
-    full = (1 << n) - 1
-    pos = list(map(add, map(int.bit_count, left), map(int.bit_count, above)))
-    if (not all(map(full.__eq__, map(or_, related, bits)))
-            or sorted(pos) != list(range(n))):
-        raise _invalid([_order_violation(boxes, rmask, lmask, amask, bmask)])
+    # No order check either.  The boxes are now a generic rectangulation: an
+    # exact cover, one segment per line, no cross joint.  In one, any two
+    # rects are related in exactly one of the four ways (Ackerman, Barequet &
+    # Pinter 2006): two whose x-ranges overlap are stacked in the strip they
+    # share, two whose y-ranges overlap sit side by side, and a diagonal pair
+    # is related through the T joints between them, one way, as only a cross
+    # joint could relate it both ways.  "Left of or above" is then the total
+    # NW-SE order (Asinowski et al. 2013), so pos runs over 0..n-1, and
+    # _analyse already writes "B" or "A" for every rect outside a row's
+    # left-or-right mask.  The test reference checks both facts.
+    pos = list(map(add, map(int.bit_count, map(lmask.__getitem__, X0)),
+                   map(int.bit_count, map(amask.__getitem__, Y1))))
     spans = (*chain.from_iterable(zip(vlo[1:width], vhi[1:width])),
              *chain.from_iterable(zip(hlo[1:height], hhi[1:height])))
     return pos, vsides, spans
@@ -432,25 +407,20 @@ def relations_of(d: RectDrawing) -> tuple[str, ...]:
     return _kernel(d)[0]
 
 
-def _order_positions(rel, ordering):
-    """pos[i] = position of rect i, or None if not a total order.  Rect j
-    comes before rect i iff rel[i][j] is the inverse of an ordering char."""
-    a, b = (_INVERSE[c] for c in _ORDER_CHARS[ordering])
-    pos = [row.count(a) + row.count(b) for row in rel]
-    if sorted(pos) != list(range(len(rel))):  # transitive iff so
-        return None
-    return pos
-
-
 def order_labels(d: RectDrawing, ordering: str) -> list[int]:
-    """Rect indices listed in the given diagonal ordering."""
-    pos = _order_positions(_kernel(d)[0], ordering)
-    if pos is None:
-        raise InvalidDrawing(f"{ordering} relation is not a total order")
-    out = [0] * len(pos)
-    for i, p in enumerate(pos):
-        out[p] = i
-    return out
+    """Rect indices listed in the given diagonal ordering: "nw-se", the
+    stored order, "sw-ne", which puts each rect after the rects left of or
+    below it, or "se-nw" and "ne-sw", their reverses."""
+    rel = _kernel(d)[0]
+    if ordering in ("nw-se", "se-nw"):
+        out = list(range(len(rel)))
+    elif ordering in ("sw-ne", "ne-sw"):
+        out = [0] * len(rel)
+        for i, row in enumerate(rel):
+            out[row.count(RIGHT) + row.count(ABOVE)] = i
+    else:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    return out[::-1] if ordering in ("se-nw", "ne-sw") else out
 
 
 def l_labels(d: RectDrawing) -> list[int]:

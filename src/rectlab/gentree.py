@@ -63,6 +63,19 @@ def _check_tree(tree):
         raise ValueError(f"unknown tree {tree!r}")
 
 
+# Largest node (sequence length, rect count) that a replay, a trace or a
+# sequence-side node check takes.  Their cost grows about as the cube of the
+# size: at 200 each of sigma_inv, tau7_inv, replay_invseq, replay_rect and
+# trace_of_rect takes at most 1.2 s on a 2-core Xeon, sigma_inv on a random
+# I(011,201) member the slowest; sigma_inv took 50 s on 1,000 zeros.
+NODE_CAP = 200
+
+
+def _check_size(n):
+    if n > NODE_CAP:
+        raise ValueError(f"tree node of size {n} exceeds the cap {NODE_CAP}")
+
+
 def _require(cond, msg):
     if not cond:
         raise InvalidDrawing(msg)
@@ -371,6 +384,7 @@ def trace_of_rect(d, tree):
     """Root-to-node step list identifying d in the tree.  Only d itself is
     analysed: the deletes shrink its boxes."""
     _check_tree(tree)
+    _check_size(d.size)
     (_check_t1_rect if tree == "t1" else _check_t2_rect)(d)
     g = _view(canonical_drawing(d))
     delete = _t1_delete if tree == "t1" else _t2_delete
@@ -390,6 +404,7 @@ def replay_rect_tracked(trace, tree):
     (1-based) of the rect stored at index i.  The boxes stay in insertion
     order through the steps, and only the last drawing is built."""
     _check_tree(tree)
+    _check_size(len(trace) + 1)
     g = _ROOT
     for step in trace:
         g = _grow(g, tree, step)
@@ -443,6 +458,7 @@ def _check_seq(e, tree, cls):
     e = invseq.check_invseq(e)
     if not e:
         raise ClassError("the empty sequence is not a tree node")
+    _check_size(len(e))
     if tree == "t1" and not invseq.class_check(e, cls):
         raise ClassError(f"{_brief(e)} is not in class {cls}")
     if tree == "t2" and not invseq.avoids_all(e, T2_PATTERNS):
@@ -528,6 +544,7 @@ def replay_invseq(trace, tree, cls="i7"):
     from the largest value down.  The sequence carries its avoidance state
     and admissible values from step to step, as in replay_levels."""
     e = _check_seq((0,), tree, cls)
+    _check_size(len(trace) + 1)
     signs, state, ext = _root_state(tree, cls)
     for rule, param in trace:
         _check_param(rule, param)

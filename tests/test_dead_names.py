@@ -53,3 +53,32 @@ def test_every_top_level_name_is_read_somewhere():
             if not (word.search(own) or word.search(rest)):
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, dead
+
+
+def test_every_import_is_read_in_its_module():
+    """Each name a package module imports is read in that module, unless
+    its import statement is marked "# noqa: F401" (a re-export).
+    __init__.py, which only re-exports, and __future__ imports are left
+    out."""
+    unused = []
+    for path in sorted((ROOT / "src" / "rectlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in
+                           lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                  f"{name}")
+    assert not unused, unused

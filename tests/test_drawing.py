@@ -57,6 +57,8 @@ def test_order_labels(v2, d3p):
     assert order_labels(d3p, "se-nw") == [2, 1, 0]
     assert order_labels(v2, "ne-sw") == [1, 0]
     assert order_labels(d3p, "ne-sw") == [1, 0, 2]
+    with pytest.raises(ValueError, match="unknown ordering 'bogus'"):
+        order_labels(d3p, "bogus")
 
 
 def test_l_labels(v2, h2, d3p):

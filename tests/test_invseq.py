@@ -64,8 +64,9 @@ def test_counts():
     assert invseq.count_invseq(4, invseq.CLASS_PATTERNS["i7"]) == 15
     for n in range(1, 8):
         assert invseq.count_invseq(n, ("10",)) == catalan(n)
-    with pytest.raises(ValueError):
-        invseq.count_invseq(11, ("10",))
+    for avoid in ((), ("10",)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            invseq.count_invseq(invseq.LENGTH_CAP + 1, avoid)
 
 
 def test_negative_lengths_are_refused():

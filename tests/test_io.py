@@ -138,6 +138,7 @@ def _assert_refused(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 @pytest.mark.parametrize("side", ["rect", "invseq"])
@@ -224,6 +225,37 @@ def test_cli_render_refuses_a_drawing_above_the_rect_cap(capsys, tmp_path):
     _assert_refused(capsys, ["render", "--input", str(strip)])
 
 
+_ABOVE_NODE_CAP = gentree.NODE_CAP + 1
+
+
+@pytest.mark.parametrize("argv,obj", [
+    (["map", "--bijection", "sigma", "--direction", "inv"],
+     [0] * _ABOVE_NODE_CAP),
+    (["map", "--bijection", "tau7", "--direction", "inv"],
+     [0] * _ABOVE_NODE_CAP),
+    (["trace", "--tree", "t2", "--replay", "--side", "rect"],
+     [["***"]] * (_ABOVE_NODE_CAP - 1)),
+    (["trace", "--tree", "t2", "--replay", "--side", "invseq"],
+     [["***"]] * (_ABOVE_NODE_CAP - 1)),
+    (["trace", "--tree", "t2"],
+     {"width": _ABOVE_NODE_CAP, "height": 1,
+      "rects": [[x, 0, x + 1, 1] for x in range(_ABOVE_NODE_CAP)]}),
+])
+def test_cli_refuses_tree_nodes_above_the_cap(capsys, tmp_path, argv, obj):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    err = _assert_refused(capsys, [*argv, "--input", str(f)])
+    assert f"size {_ABOVE_NODE_CAP} exceeds the cap" in err
+
+
+def test_cli_takes_tree_nodes_at_the_cap(capsys, tmp_path):
+    f = tmp_path / "trace.json"
+    f.write_text(json.dumps([["***"]] * (gentree.NODE_CAP - 1)))
+    assert cli.main(["trace", "--tree", "t2", "--input", str(f), "--replay",
+                     "--side", "invseq"]) == 0
+    assert json.loads(capsys.readouterr().out) == [0] * gentree.NODE_CAP
+
+
 def test_inverse_maps_refuse_the_empty_sequence():
     from rectlab import bijections
     for inverse in (bijections.tau_inv, bijections.sigma_inv,
@@ -245,6 +277,15 @@ def test_cli_render(capsys, tmp_path, d3):
     f.write_text('{"width": 1.9, "height": true, "rects": [[0, 0, 1.5, true]]}')
     assert cli.main(["render", "--input", str(f)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+def test_cli_render_refuses_a_diagonal_in_ascii(capsys, tmp_path, d3):
+    f = tmp_path / "d3.json"
+    f.write_text(d3.to_json())
+    _assert_refused(capsys, ["render", "--input", str(f), "--diagonal"])
+    assert cli.main(["render", "--input", str(f), "--format", "svg",
+                     "--diagonal"]) == 0
+    assert "<line" in capsys.readouterr().out
 
 
 def test_cli_usage_errors(capsys):
