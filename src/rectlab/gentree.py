@@ -461,7 +461,7 @@ def _check_seq(e, tree, cls):
     _check_size(len(e))
     if tree == "t1" and not invseq.class_check(e, cls):
         raise ClassError(f"{_brief(e)} is not in class {cls}")
-    if tree == "t2" and not invseq.avoids_all(e, T2_PATTERNS):
+    if tree == "t2" and not invseq._avoids(e, _class_patterns(tree, cls)):
         raise ClassError(f"{_brief(e)} does not avoid {T2_PATTERNS}")
     return e
 

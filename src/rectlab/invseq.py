@@ -161,6 +161,18 @@ def _avoiding_values(prefix, pats):
     return _allowed(state, len(prefix))
 
 
+def _avoids(e, pats) -> bool:
+    """Does the non-empty sequence e avoid the compiled patterns?  The
+    avoidance step folded over e, refusing the first entry whose bit is set
+    in forbidden: len(e) steps, where avoids_all scans every k-subsequence."""
+    signs, state = _avoidance(pats)
+    for v in e:
+        if state[1] >> v & 1:
+            return False
+        state = _extend(state, v, signs)
+    return True
+
+
 # Longest sequences enumerate_invseq lists, with or without patterns: with
 # none it lists all n! of them, 3.6 million at the cap (about 4 s).
 LENGTH_CAP = 10

@@ -9,8 +9,10 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.request
 from pathlib import Path
+
+
+B_FILE_URL = "https://oeis.org/{id}/b{num}.txt"
 
 
 class OeisError(RuntimeError):
@@ -18,6 +20,10 @@ class OeisError(RuntimeError):
 
 
 def _default_fetcher(url: str) -> str:
+    # imported here, not at the top: urllib.request loads http.client, email,
+    # ssl and socket, which only a cache miss needs
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=30) as resp:
         return resp.read().decode()
 
@@ -38,24 +44,22 @@ class OeisClient:
         if not re.fullmatch(r"A\d{6}", seq_id):
             raise ValueError(f"bad sequence id {seq_id!r}")
         path = self._cache_path(seq_id)
-        text = None
         if path is not None and path.exists():
-            text = path.read_text()
-        elif self.offline:
+            return _parse_b_file(path.read_text())
+        if self.offline:
             raise OeisError(f"{seq_id}: offline and not cached")
-        else:
-            url = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
-            try:
-                text = self.fetcher(url)
-            except Exception as exc:
-                raise OeisError(f"{seq_id}: fetch failed ({exc})") from exc
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(text)
-                os.replace(tmp, path)
-        return _parse_b_file(text)
+        try:
+            text = self.fetcher(B_FILE_URL.format(id=seq_id, num=seq_id[1:]))
+        except Exception as exc:
+            raise OeisError(f"{seq_id}: fetch failed ({exc})") from exc
+        pairs = _parse_b_file(text)  # first, so a bad download is not cached
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        return pairs
 
     def compare(self, seq_id, ours, offset=0):
         """Compare {index: value} pairs we derived against the b-file,
@@ -84,8 +88,9 @@ def _parse_b_file(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise OeisError(f"bad b-file line {line!r}")
-        out.append((int(parts[0]), int(parts[1])))
+        try:
+            index, value = map(int, line.split())
+        except ValueError:
+            raise OeisError(f"bad b-file line {line!r}") from None
+        out.append((index, value))
     return out

@@ -850,6 +850,16 @@ def test_unknown_tree_and_empty_sequence_are_refused(one):
         trace_of_invseq((0, 2), "t1")  # not an inversion sequence
 
 
+def test_t2_refuses_exactly_the_sequences_that_contain_its_patterns():
+    for n in range(1, 7):
+        for e in invseq.enumerate_invseq(n):
+            if invseq.avoids_all(e, gentree.T2_PATTERNS):
+                t2_type_invseq(e)
+            else:
+                with pytest.raises(ClassError, match="does not avoid"):
+                    t2_type_invseq(e)
+
+
 def test_t1_children_are_the_td_avoiding_reverse_search_children(ctx):
     """Below every td-avoiding strong class with n <= 6, tree t1 grows
     exactly the td-avoiding children that the universe's reverse search

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -292,6 +293,42 @@ def test_avoiding_values_matches_the_last_entry_scan():
                 assert invseq._avoiding_values(e, pats) == \
                     _avoiding_values_by_last_entry(e, pats), (e, pats)
 
+
+
+def _random_member(rng, n, pats):
+    """A length-n sequence avoiding the compiled patterns, each entry drawn
+    from the values the avoidance step allows."""
+    signs, state = invseq._avoidance(pats)
+    e = ()
+    for m in range(n):
+        v = rng.choice(invseq._allowed(state, m))
+        e, state = e + (v,), invseq._extend(state, v, signs)
+    return e
+
+
+def test_the_avoidance_fold_agrees_with_the_subsequence_scan():
+    """_avoids against avoids_all on every sequence with n <= 7, and on
+    random 200-entry members of I(011,201) and one-entry changes of them,
+    which are mostly not members."""
+    sets = [("011", "201")]
+    sets += [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")]
+    for pats in sets:
+        compiled = tuple(map(invseq._pattern, pats))
+        for n in range(1, 8):
+            for e in invseq.enumerate_invseq(n):
+                assert invseq._avoids(e, compiled) == \
+                    invseq.avoids_all(e, pats), (e, pats)
+    t2 = tuple(map(invseq._pattern, gentree.T2_PATTERNS))
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(2):
+        e = _random_member(rng, 200, t2)
+        j = rng.randrange(100, 200)
+        f = e[:j] + (rng.randrange(j + 1),) + e[j + 1:]
+        for seq in (e, f):
+            verdicts.append(invseq._avoids(seq, t2))
+            assert verdicts[-1] == invseq.avoids_all(seq, gentree.T2_PATTERNS)
+    assert verdicts[::2] == [True, True] and False in verdicts[1::2]
 
 def test_pruned_class_enumeration_matches_class_check():
     """The class sets verify enumerates by pruning are, list for list, the

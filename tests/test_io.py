@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +15,14 @@ from rectlab.patterns import PATTERNS, avoids_all
 from rectlab.render import render_ascii, render_svg
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*args):
+    """Run a fresh interpreter with only the checkout's src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_render_ascii_marks_joints(d3):
@@ -52,6 +63,53 @@ def test_oeis_reports_mismatches(tmp_path):
     report = client.compare("A279555", {1: 1, 2: 2})
     assert not report["ok"] and report["mismatches"] == [(2, 2, 99)]
 
+
+@pytest.mark.parametrize("line", ["2 x", "2 2 3"])
+def test_cli_oeis_malformed_b_file_is_an_io_failure(capsys, tmp_path, line):
+    (tmp_path / "oeis").mkdir()
+    (tmp_path / "oeis" / "b279555.txt").write_text(f"1 1\n{line}\n")
+    code = cli.main(["oeis", "--id", "A279555", "--class", "strong:avoid=td",
+                     "--max-n", "5", "--offline",
+                     "--cache-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == f"oeis: bad b-file line {line!r}\n"
+
+
+def test_oeis_bad_download_is_not_cached(tmp_path):
+    client = oeis.OeisClient(cache_dir=tmp_path,
+                             fetcher=lambda url: "<html>not found</html>\n")
+    with pytest.raises(oeis.OeisError, match="bad b-file line"):
+        client.b_file("A279555")
+    assert not (tmp_path / "oeis").exists()
+    with pytest.raises(oeis.OeisError, match="offline and not cached"):
+        oeis.OeisClient(cache_dir=tmp_path, offline=True).b_file("A279555")
+
+
+def test_oeis_default_fetcher_reads_a_file_url(tmp_path, monkeypatch):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "b279555.txt").write_text("# A279555\n1 1\n2 2\n3 5\n")
+    monkeypatch.setattr(oeis, "B_FILE_URL", site.as_uri() + "/b{num}.txt")
+    cache = tmp_path / "cache"
+    assert oeis.OeisClient(cache_dir=cache).b_file("A279555") == \
+        [(1, 1), (2, 2), (3, 5)]
+    assert (cache / "oeis" / "b279555.txt").read_text() == \
+        (site / "b279555.txt").read_text()
+
+
+def test_importing_rectlab_loads_no_network_module():
+    proc = _python("-c", "import sys, rectlab, rectlab.cli; print(sorted("
+                   "{'urllib.request', 'http.client', 'email', 'ssl', "
+                   "'socket'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_python_dash_m_rectlab_runs_the_cli():
+    proc = _python("-m", "rectlab", "series", "--which", "catalan",
+                   "--order", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 2, 5, 14, 42]\n"
 
 def test_cli_count(capsys):
     assert cli.main(["count", "--class", "strong:avoid=td", "--n", "1..5"]) == 0
