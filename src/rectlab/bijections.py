@@ -315,28 +315,24 @@ def tree_T(d: RectDrawing):
             raise AssertionError(f"SE corner of rect {i} touches {cands}")
         parents[i] = cands[0]
     children = {}
-    for i, p in parents.items():
-        children.setdefault(p, []).append(i)
-    for p in children:
-        children[p].sort(key=lambda i: d.rects[i][1])  # bottom to top
+    for i in sorted(parents, key=lambda i: d.rects[i][1]):  # bottom to top
+        children.setdefault(parents[i], []).append(i)
     return root, parents, children, d
 
 
 def sigma(d: RectDrawing):
     """Height labels read along the contact tree: subtrees in bottom-to-top
-    contact order, each node after its subtrees, the virtual root skipped."""
+    contact order, each node after its subtrees, the virtual root skipped;
+    read in reverse with a stack, as the tree can be as deep as d is large."""
     root, parents, children, dc = tree_T(d)
     _, rect_lam = lambda_labels(dc)
-    out = []
-
-    def visit(node):
-        for c in children.get(node, ()):
-            visit(c)
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
         if node != -1:
             out.append(rect_lam[node])
-
-    visit(root)
-    return tuple(out)
+        stack += children.get(node, ())
+    return tuple(out[::-1])
 
 
 def sigma_inv(f) -> RectDrawing:

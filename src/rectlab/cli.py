@@ -147,12 +147,8 @@ def cmd_map(args):
         raise UsageError(f"{args.bijection} --direction {args.direction} "
                          f"reads a {kind}, not a {got}")
     result = fn(obj)
-    if hasattr(result, "to_json"):
-        print(result.to_json())
-    elif isinstance(result, tuple):
-        print(json.dumps(list(result)))
-    else:
-        print(json.dumps(result))
+    print(result.to_json() if hasattr(result, "to_json")
+          else json.dumps(result))
     return 0
 
 
@@ -163,9 +159,15 @@ def cmd_trace(args):
             print(gentree.replay_rect(trace, args.tree).to_json())
         else:
             print(json.dumps(list(gentree.replay_invseq(trace, args.tree))))
-    else:
+    elif args.side == "rect":
         d = from_json(_load_input(args))
         print(gentree.trace_to_json(gentree.trace_of_rect(d, args.tree)))
+    else:
+        got, e = _map_input(args)
+        if got != "sequence":
+            raise UsageError(f"trace --side invseq reads a sequence, not a "
+                             f"{got}")
+        print(gentree.trace_to_json(gentree.trace_of_invseq(e, args.tree)))
     return 0
 
 
@@ -268,7 +270,7 @@ def build_parser():
     p.add_argument("--word", help="letter-word literal (Dyck or N/W)")
     p.set_defaults(fn=cmd_map)
 
-    p = sub.add_parser("trace", help="generating-tree trace of a drawing")
+    p = sub.add_parser("trace", help="tree trace of a drawing or sequence")
     p.add_argument("--tree", choices=gentree.TREES, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--replay", action="store_true",

@@ -76,7 +76,9 @@ class InvalidDrawing(ValueError):
 # patterns (T joints, windmills) and gentree (spans by line index) read.
 # Any other drawing gets its kernel on first use, after the same checks
 # (_kernel).  The generating trees grow bare box lists between drawings:
-# they take each line's span from _line_sides and redraw with _rename_lines.
+# they take each line's span from _line_sides and leave the lines where
+# their steps put them; canonical_drawing lays out the drawing a replay
+# returns.
 
 
 def _merge_runs(intervals):
@@ -505,18 +507,18 @@ def _extension(runs, prefer):
     return out
 
 
-def _rename_lines(width, rects, spans):
-    """(boxes, spans) of the rects with each line moved to its rank in the
-    heap-order extensions (horizontals bottom-to-top by the left-most
-    extension, verticals left-to-right by the lowest-first extension), for
-    rects of a valid drawing whose segment spans are laid out as in the
-    kernel; the given tuples themselves when no line moves."""
-    v, h = _split_spans(width, spans)
+def canonical_drawing(d: RectDrawing) -> RectDrawing:
+    """Redraw so line positions equal their ranks in the heap-order
+    extensions: horizontals bottom-to-top by the left-most extension,
+    verticals left-to-right by the lowest-first extension.  The rects keep
+    their order, and the strong key is unchanged."""
+    rel, spans = _kernel(d)
+    v, h = _split_spans(d.width, spans)
     xr, yr = _extension_ranks(v), _extension_ranks(h)
     boxes = tuple([(xr[x0], yr[y0], xr[x1], yr[y1])
-                   for x0, y0, x1, y1 in rects])
-    if boxes == rects:
-        return rects, spans
+                   for x0, y0, x1, y1 in d.rects])
+    if boxes == d.rects:
+        return d
     out = [0] * len(spans)
     for x, (lo, hi) in enumerate(v, 1):
         k = 2 * (xr[x] - 1)
@@ -524,19 +526,10 @@ def _rename_lines(width, rects, spans):
     for y, (lo, hi) in enumerate(h, 1):
         k = 2 * (len(v) + yr[y] - 1)
         out[k], out[k + 1] = xr[lo], xr[hi]
-    return boxes, tuple(out)
-
-
-def canonical_drawing(d: RectDrawing) -> RectDrawing:
-    """Redraw so line positions equal the ranks of the heap-order extensions
-    (see _rename_lines).  Strong key is unchanged."""
-    rel, spans = _kernel(d)
-    boxes, spans = _rename_lines(d.width, d.rects, spans)
-    if boxes is d.rects:
-        return d
     # Every segment keeps its neighbours on renamed lines, so the relations,
     # and with them the NW-SE order of the rects, stay as they are.
-    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel, spans)
+    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel,
+                        tuple(out))
 
 
 def contacts_of(d: RectDrawing):

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 from . import invseq
 from .drawing import (InvalidDrawing, RectDrawing, _brief, _json_loads,
-                      _kernel, _line_sides, _merge_runs, _rename_lines,
-                      _split_spans, canonical_drawing, make_drawing_with_perm,
+                      _kernel, _line_sides, _merge_runs, _split_spans,
+                      canonical_drawing, make_drawing_with_perm,
                       ne_rect_index)
 from .patterns import contains
 
@@ -52,10 +52,12 @@ class ClassError(ValueError):
 # rectangulation side: shared helpers
 #
 # Between the drawings they return, the tree operations carry bare boxes
-# (_Boxes): the builders and deletes read only the E-rects, the N-rects, the
-# NE rect and the segment span on each line.  After every step the boxes are
-# redrawn as canonical_drawing would redraw their drawing, without deriving
-# its relations; make_drawing checks the one drawing that is returned.
+# (_Boxes) in whatever layout of their strong class the steps leave.  Every
+# builder, delete and step parameter reads only orders of touching segments
+# (the E-rects down the east side, the N-rects along the top, the lines that
+# end on one vertical, the td joints on one horizontal), which a strong class
+# fixes in any layout (Asinowski et al. 2013).  make_drawing checks the one
+# drawing that is returned, and canonical_drawing lays it out.
 
 
 def _check_tree(tree):
@@ -64,10 +66,9 @@ def _check_tree(tree):
 
 
 # Largest node (sequence length, rect count) that a replay, a trace or a
-# sequence-side node check takes.  Their cost grows about as the cube of the
-# size: at 200 each of sigma_inv, tau7_inv, replay_invseq, replay_rect and
-# trace_of_rect takes at most 1.2 s on a 2-core Xeon, sigma_inv on a random
-# I(011,201) member the slowest; sigma_inv took 50 s on 1,000 zeros.
+# sequence-side node check takes: on random members each takes at most
+# 0.05 s at 200 on a 2-core Xeon, and the cost grows about as the square of
+# the size (up to 0.84 s at 800).
 NODE_CAP = 200
 
 
@@ -105,16 +106,15 @@ def _view(d):
     return _Boxes(d.width, d.height, d.rects, _kernel(d)[1])
 
 
-def _redrawn(width, height, boxes):
-    """The boxes, in their order, moved onto the lines canonical_drawing
-    would give their drawing."""
+def _with_spans(width, height, boxes):
+    """The boxes, in their order and on their lines, with the span of the
+    one segment on each interior line."""
     boxes = tuple(boxes)
     runs = [_merge_runs(line) for lines in _line_sides(width, height, boxes)
             for line in lines[1:-1]]
     _require(all(len(r) == 1 for r in runs),
              "a line hosts more than one segment")
-    spans = tuple(v for r in runs for v in r[0])
-    return _Boxes(width, height, *_rename_lines(width, boxes, spans))
+    return _Boxes(width, height, boxes, tuple(v for r in runs for v in r[0]))
 
 
 def _lines(g):
@@ -184,12 +184,8 @@ def _t1_dstar_build(d, i):
     def sh(y):
         return y + 1 if y >= p else y
 
-    boxes = []
-    for r, (a, b, c, dd) in enumerate(d.rects):
-        if r == ne:
-            boxes.append((a, sh(b), c, p))
-        else:
-            boxes.append((a, sh(b), c, sh(dd)))
+    boxes = [(a, sh(b), c, p if r == ne else sh(dd))
+             for r, (a, b, c, dd) in enumerate(d.rects)]
     return d.width, d.height + 1, boxes, (x0, p, d.width, d.height + 1)
 
 
@@ -211,7 +207,7 @@ def _t1_delete(d):
             if c == x0:
                 c = d.width
             boxes.append((a - (a > x0), b, c - (c > x0), dd))
-        parent = _redrawn(d.width - 1, d.height, boxes)
+        parent = _with_spans(d.width - 1, d.height, boxes)
         step = (STAR, j)
     else:
         below = [i for i, b in enumerate(d.rects) if b[3] == y0]
@@ -227,7 +223,7 @@ def _t1_delete(d):
             if i == below[0]:
                 a, b, c, dd = x0, yb, d.width, d.height
             boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-        parent = _redrawn(d.width, d.height - 1, boxes)
+        parent = _with_spans(d.width, d.height - 1, boxes)
         step = (DSTAR, i_param)
     return parent, step
 
@@ -289,7 +285,7 @@ def _t2_delete(d):
     if y0 == 0:
         _require(x0 == d.width - 1, "NE column wider than one cell")
         boxes = [b for i, b in enumerate(d.rects) if i != ne]
-        parent = _redrawn(x0, d.height, boxes)
+        parent = _with_spans(x0, d.height, boxes)
         step = (TSTAR, None)
     else:
         lefts = _left_neighbor_lines(d, x0, y0, d.height)
@@ -301,7 +297,7 @@ def _t2_delete(d):
                 if dd == y0 and a >= x0:
                     dd = d.height
                 boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-            parent = _redrawn(d.width, d.height - 1, boxes)
+            parent = _with_spans(d.width, d.height - 1, boxes)
             step = (STAR, 1 + _td_joints_on(d, y0, x0))
         else:
             y_h2 = lefts[0]
@@ -316,7 +312,7 @@ def _t2_delete(d):
                     boxes.append((a, b, c, y_h2 - 1))
                 else:
                     boxes.append((a, b - (b > y0), c, dd - (dd > y0)))
-            parent = _redrawn(d.width, d.height - 1, boxes)
+            parent = _with_spans(d.width, d.height - 1, boxes)
             step = (DSTAR, i_param)
     return parent, step
 
@@ -349,13 +345,14 @@ def _grow(g, tree, step):
         raise ValueError(f"{tree} has no {rule} rule")
     _check_param(rule, param)
     width, height, boxes, new = build(g, param)
-    return _redrawn(width, height, boxes + [new])
+    return _with_spans(width, height, boxes + [new])
 
 
 def _drawing(g):
-    """(drawing, perm) of the boxes, perm[i] being the index of g.rects[i]
-    in the drawing; boxes redrawn by _redrawn give a canonical drawing."""
-    return make_drawing_with_perm(g.width, g.height, g.rects)
+    """(canonical drawing, perm) of the boxes, perm[i] being the index of
+    g.rects[i] in the drawing."""
+    d, perm = make_drawing_with_perm(g.width, g.height, g.rects)
+    return canonical_drawing(d), perm
 
 
 def _children_rect(d, tree):
@@ -386,7 +383,7 @@ def trace_of_rect(d, tree):
     _check_tree(tree)
     _check_size(d.size)
     (_check_t1_rect if tree == "t1" else _check_t2_rect)(d)
-    g = _view(canonical_drawing(d))
+    g = _view(d)
     delete = _t1_delete if tree == "t1" else _t2_delete
     steps = []
     while len(g.rects) > 1:

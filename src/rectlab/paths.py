@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import threading
 
-from .drawing import (RectDrawing, _brief, _extension, _line_spans,
-                      strip_drawing)
+from .drawing import (RECT_CAP, RectDrawing, _brief, _extension,
+                      _line_spans, strip_drawing)
 from .gentree import LEVEL_CAP, ClassError
 from .patterns import avoids_all
 
@@ -126,6 +126,9 @@ def phi(word: str) -> RectDrawing:
     """Drawing of a rushed path: a stack of rows cut by the full horizontal
     lines, with one unit vertical per non-initial up-step, placed left to
     right at the up-step's altitude."""
+    if len(word) // 2 - 1 > RECT_CAP:  # one rect fewer than the up-steps
+        raise ValueError(f"a word of length {len(word)} draws more than "
+                         f"the cap of {RECT_CAP} rects")
     if not is_rushed(word):
         raise ClassError(f"{_brief(word)} is not rushed")
     h = initial_rise(word)

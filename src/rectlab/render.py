@@ -8,10 +8,18 @@ _JOINT_MARK = {"td": "v", "tu": "^", "tr": ">", "tl": "<"}
 
 _CELL_W, _CELL_H = 6, 2
 
+# Most characters an ASCII canvas may hold, about 7.5 bytes each: `rectlab
+# render` peaks at 42 MB of RSS on a 4,000-rect strip of height 1, at 56 MB
+# at height 40 and at 62 MB at height 52 (1.9 and 2.5 million characters).
+ASCII_CAP = 2_500_000
+
 
 def render_ascii(d: RectDrawing, labels=None, joints=False) -> str:
     """Character-grid picture; one unit is 6 columns by 2 rows."""
     cols, rows = d.width * _CELL_W + 1, d.height * _CELL_H + 1
+    if cols * rows > ASCII_CAP:
+        raise ValueError(f"an ASCII canvas of {cols * rows} characters "
+                         f"exceeds the cap of {ASCII_CAP}; use --format svg")
     grid = [[" "] * cols for _ in range(rows)]
 
     def put(x, y, ch):

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from rectlab import bijections as bij
 from rectlab import invseq, universe, verify
-from rectlab.drawing import (boundary_touch_counts, is_diagonal, make_drawing,
-                             reflect, strong_key, weak_key)
+from rectlab.drawing import (RECT_CAP, boundary_touch_counts, is_diagonal,
+                             make_drawing, reflect, strip_drawing, strong_key,
+                             weak_key)
 from rectlab.gentree import ClassError, replay_rect_tracked, trace_of_rect
 from rectlab.patterns import contains
 from rectlab.paths import catalan
@@ -321,6 +322,14 @@ def test_sigma_tree_matches_minimal_inversions():
             got = {order[i]: (m if p == -1 else order[p])
                    for i, p in tparents.items()}
             assert got == want, (f, got, want)
+
+
+def test_sigma_reads_a_contact_tree_as_deep_as_the_rect_cap():
+    """In a one-row strip each rect is the contact-tree parent of the one to
+    its left, so the tree is RECT_CAP levels deep, past the recursion
+    limit."""
+    strip = strip_drawing(1, [0] * (RECT_CAP - 1))
+    assert bij.sigma(strip) == (0,) * RECT_CAP
 
 
 def test_stack_sigma_is_staircase():

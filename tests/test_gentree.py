@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -731,6 +732,54 @@ def test_short_step_lists_match_the_per_step_reference(tree):
 
     walk([], size1())
     assert taken == [1, 2, 5, 15]
+
+
+def _ref_random_walk(tree, steps, rng):
+    """(trace, drawing) of a walk of the given number of steps down the
+    reference tree, each step drawn at random from the node's children."""
+    d, trace = size1(), []
+    for _ in range(steps):
+        k, ell = _ref_type_rect(d, tree)
+        choices = [("*", j) for j in range(1, k + 1)]
+        if tree == "t1":
+            choices += [("**", i) for i in range(ell + 1)]
+        else:
+            choices += [("**", i) for i in range(1, ell + 1)] + [("***", None)]
+        trace.append(rng.choice(choices))
+        d = _ref_apply_rect_step(d, tree, trace[-1])[0]
+    return trace, d
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_long_traces_match_the_per_step_reference(tree, seed):
+    """Random walks of up to NODE_CAP - 1 steps: the boxes a replay or a
+    trace carries keep their steps' layout, and still give the replay JSON,
+    order and trace of the reference, which redraws every step."""
+    rng = random.Random(seed)
+    steps = gentree.NODE_CAP - 1 if seed == 0 else rng.randrange(20, 199)
+    trace, want = _ref_random_walk(tree, steps, rng)
+    got, order = replay_rect_tracked(trace, tree)
+    assert (got.to_json(), order) == (
+        want.to_json(), _ref_replay_rect_tracked(trace, tree)[1])
+    assert trace_of_rect(want, tree) == _ref_trace_of_rect(want, tree) == trace
+
+
+@pytest.mark.parametrize("tree,pattern", [("t1", "td"), ("t2", "tu")])
+def test_trace_reads_any_layout_of_a_strong_class(ctx, tree, pattern):
+    """Every child the universe's reverse search builds for n <= 6 in the
+    tree's class, before canonical_drawing lays it out, has the trace of
+    its canonical drawing."""
+    other = 0
+    for n in range(1, 6):
+        for p in ctx.strong(n):
+            for d in universe._children(p):
+                if contains(d, pattern):
+                    continue
+                c = canonical_drawing(d)
+                assert trace_of_rect(d, tree) == trace_of_rect(c, tree), d
+                other += c != d
+    assert other > 0
 
 
 @pytest.mark.parametrize("tree", ["t1", "t2"])

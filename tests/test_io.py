@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -10,9 +11,10 @@ from hypothesis import given, strategies as st
 
 from rectlab import bijections as bij
 from rectlab import cli, gentree, oeis, paths, universe, verify
+from rectlab.drawing import RECT_CAP, strip_drawing
 from rectlab.gentree import count_by_tree
 from rectlab.patterns import PATTERNS, avoids_all
-from rectlab.render import render_ascii, render_svg
+from rectlab.render import ASCII_CAP, render_ascii, render_svg
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -184,6 +186,26 @@ def test_cli_trace_round_trip(capsys, tmp_path, d3):
     assert cli.main(["trace", "--tree", "t2", "--input", str(g),
                      "--replay", "--side", "invseq"]) == 0
     assert json.loads(capsys.readouterr().out) == [0, 0, 2]
+
+
+@pytest.mark.parametrize("tree,seq,want", [
+    ("t1", [0, 1, 1], [["*", 1], ["**", 0]]),
+    ("t2", [0, 0, 2], [["***"], ["*", 2]])])
+def test_cli_trace_reads_a_sequence_on_the_invseq_side(capsys, tmp_path, tree,
+                                                       seq, want):
+    f = tmp_path / "seq.json"
+    f.write_text(json.dumps(seq))
+    argv = ["trace", "--tree", tree, "--side", "invseq", "--input", str(f)]
+    assert cli.main(argv) == 0
+    trace = capsys.readouterr().out
+    assert json.loads(trace) == want
+    f.write_text(trace)
+    assert cli.main([*argv, "--replay"]) == 0
+    assert json.loads(capsys.readouterr().out) == seq
+    f.write_text(json.dumps(seq[::-1]))  # not an inversion sequence
+    _assert_refused(capsys, argv)
+    f.write_text('{"width": 1, "height": 1, "rects": [[0, 0, 1, 1]]}')
+    assert "reads a sequence, not a drawing" in _assert_refused(capsys, argv)
 
 
 _MALFORMED_TRACES = ["[[]]", '[["*"]]', '[["*", "x"]]', '{"a": 1}',
@@ -443,6 +465,78 @@ def test_cli_map_refuses_a_nw_word_above_the_cap(capsys):
         assert captured.out == ""
         assert (f"word length {length} exceeds the cap "
                 f"{bij.NW_WORD_CAP}") in captured.err
+
+
+def _strip(n):
+    """The JSON of the one-row strip of n unit squares."""
+    return json.dumps({"width": n, "height": 1,
+                       "rects": [[x, 0, x + 1, 1] for x in range(n)]})
+
+
+def _dyck(m):
+    return "U" * m + "D" * m
+
+
+# A map direction's input at the largest size its cap admits, and one size
+# above it: by input kind, or by direction for the maps with a cap of their
+# own.  A 1,200-rect strip is deeper than the recursion limit.
+_CAP_INPUTS = {
+    "drawing": (_strip(1200), _strip(RECT_CAP + 1)),
+    "sequence": ([0] * gentree.NODE_CAP, [0] * (gentree.NODE_CAP + 1)),
+    ("comp", "inv"): ([1] * bij.COMPOSITION_CAP,
+                      [1] * (bij.COMPOSITION_CAP + 1)),
+    ("delta", "inv"): (_dyck(gentree.NODE_CAP), _dyck(gentree.NODE_CAP + 1)),
+    ("nwword", "inv"): ("NW" * (bij.NW_WORD_CAP // 2),
+                        "NW" * (bij.NW_WORD_CAP // 2) + "N"),
+    ("phi", "fwd"): (_dyck(RECT_CAP + 1), _dyck(RECT_CAP + 2)),
+}
+
+_MAP_DIRECTIONS = [(name, direction, kind)
+                   for name, row in sorted(cli._MAPS.items())
+                   for direction, fn, kind in (("fwd", *row[:2]),
+                                               ("inv", *row[2:]))
+                   if fn is not None]
+
+
+@pytest.mark.parametrize("name,direction,kind", _MAP_DIRECTIONS)
+def test_cli_maps_take_their_largest_input_and_refuse_a_larger_one(
+        capsys, tmp_path, name, direction, kind):
+    """At the largest input its cap admits, every map direction exits 0 or
+    refuses with one error line, never with a traceback; one size above the
+    cap, it refuses."""
+    at, above = _CAP_INPUTS.get((name, direction)) or _CAP_INPUTS[kind]
+    for obj in (at, above):
+        argv = ["map", "--bijection", name, "--direction", direction]
+        if kind == "word":
+            argv += ["--word", obj]
+        else:
+            f = tmp_path / "in.json"
+            f.write_text(obj if kind == "drawing" else json.dumps(obj))
+            argv += ["--input", str(f)]
+        if obj is above:
+            _assert_refused(capsys, argv)
+            continue
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("error: ")
+                             and len(err.splitlines()) == 1), err[-300:]
+
+
+def test_cli_render_refuses_an_ascii_canvas_above_the_cap(capsys, tmp_path):
+    """A 4,000-rect strip of height 40 renders in ASCII; the 2,001-rect
+    staircase of "NW" * 1000, a canvas of 12 million characters, only as
+    SVG."""
+    rng = random.Random(0)
+    strip = strip_drawing(40, [rng.randrange(40)
+                               for _ in range(RECT_CAP - 40)])
+    assert (6 * strip.width + 1) * (2 * strip.height + 1) <= ASCII_CAP
+    assert len(render_ascii(strip).splitlines()) == 81
+    f = tmp_path / "stairs.json"
+    f.write_text(bij.rect_of_nw_word("NW" * 1000).to_json())
+    err = _assert_refused(capsys, ["render", "--input", str(f)])
+    assert "--format svg" in err
+    assert cli.main(["render", "--input", str(f), "--format", "svg"]) == 0
+    assert capsys.readouterr().out.count("<rect") == 2001
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,8 @@ import threading
 import pytest
 
 from rectlab import paths, universe
-from rectlab.drawing import (heap_order, linear_extension, strong_key,
-                             validate)
+from rectlab.drawing import (RECT_CAP, heap_order, linear_extension,
+                             strong_key, validate)
 from rectlab.gentree import ClassError
 from rectlab.patterns import contains
 
@@ -48,6 +48,17 @@ def test_phi_small(one):
     assert d.rects == ((0, 1, 1, 2), (1, 1, 2, 2), (0, 0, 2, 1))
     with pytest.raises(ClassError):
         paths.phi("UDUD")
+
+
+def test_phi_draws_up_to_the_rect_cap_and_refuses_more(monkeypatch):
+    """U^m D^m draws m - 1 stacked rows.  One step above the cap, the word
+    is refused before any drawing is built."""
+    m = RECT_CAP + 1
+    assert paths.phi("U" * m + "D" * m).size == RECT_CAP
+    monkeypatch.setattr(paths, "strip_drawing", None)
+    for word in ("U" * (m + 1) + "D" * (m + 1), "U" * 10**6 + "D" * 10**6):
+        with pytest.raises(ValueError, match=f"cap of {RECT_CAP} rects"):
+            paths.phi(word)
 
 
 def test_phi_round_trips():
