@@ -11,6 +11,9 @@ weak-level identities are compared through weak_key.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from . import invseq
 from .drawing import (RectDrawing, _brief, canonical_drawing, l_labels,
                       make_drawing, order_labels)
@@ -139,6 +142,11 @@ def tree_to_seq(t):
     return tuple(out)
 
 
+def _shift_table(k):
+    """The bytes.translate table that raises every entry by k (mod 256)."""
+    return bytes(range(k, 256)) + bytes(range(k))
+
+
 def tree_image_levels(n):
     """Yield [bytes(tree_to_seq(t)) for t in all_trees(m)] for m = 0..n in
     turn, each built from the images of the smaller sizes: for each split,
@@ -150,12 +158,14 @@ def tree_image_levels(n):
     runs (one per split, ordered by head, then tail); a caller must not add
     or remove items.
 
-    Images are bytes, not tuples: a level of n = 12 holds 208,012 of them,
+    Images are bytes, not tuples: a level of n = 11 holds 58,786 of them,
     and bytes take a fraction of a tuple's memory and compare in C.  bytes()
     is injective on sequences with entries in 0..255, so two images are
     equal as bytes iff they are equal as tuples.  A tail is shifted by up to
     n, which a byte table holds for n <= 255 only, so a larger n is
-    refused."""
+    refused.  The catalan suite takes the levels up to n = 11 from here and
+    the 208,012 images of n = 12 from tree_image_buckets, which never holds
+    that level whole."""
     if n > 255:
         raise ValueError(f"size {n} exceeds 255: images are bytes")
     levels = [[b""]]
@@ -163,13 +173,69 @@ def tree_image_levels(n):
     for m in range(1, n + 1):
         level = []
         for i in range(m):  # i nodes on the left
-            shift = bytes(range(i + 1, 256)) + bytes(range(i + 1))
+            shift = _shift_table(i + 1)
             tails = [s.translate(shift) for s in levels[m - 1 - i]]
             for s in levels[i]:
                 head = b"\0" + s
                 level += [head + tail for tail in tails]
         levels.append(level)
         yield level
+
+
+def tree_image_buckets(levels):
+    """Yield the images of the trees with n = len(levels) nodes, built from
+    levels, the images of sizes 0..n-1, as tree_image_levels builds level n,
+    but one list at a time: one per value of the images' last two bytes, no
+    value twice.  Equal images share their last two bytes, so level n is
+    distinct iff each list is, and only one list is live at a time: at
+    n = 12 the largest holds 16,796 of the 208,012 images.
+
+    A tail of two or more bytes sets the key alone, so each split's tails
+    are grouped by their last two bytes and every head goes with each group.
+    A shorter tail takes the rest of the key from the head, so the heads are
+    grouped by their last bytes instead.  The groups are lists of the items
+    of levels, indexed once per (level, suffix length) read; heads and
+    shifted tails are built when their list is, each group once."""
+    n = len(levels)
+    if n > 255:
+        raise ValueError(f"size {n} exceeds 255: images are bytes")
+    if n == 0:
+        yield [b""]
+        return
+    index = {}
+
+    def by_suffix(m, k):
+        if (m, k) not in index:
+            groups = index[m, k] = {}
+            for s in levels[m]:
+                groups.setdefault(s[-k:], []).append(s)
+        return index[m, k]
+
+    parts = {}  # key -> [(head sources, tail sources, shift), ...]
+    for i in range(n):  # i nodes on the left
+        m = n - 1 - i
+        shift = _shift_table(i + 1)
+        if m >= 2:
+            for suffix, group in by_suffix(m, 2).items():
+                parts.setdefault(suffix.translate(shift), []).append(
+                    (levels[i], group, shift))
+        else:
+            for suffix, group in by_suffix(i, 2 - m).items():
+                for s in levels[m]:
+                    key = (b"\0" + suffix)[m - 2:] + s.translate(shift)
+                    parts.setdefault(key, []).append((group, [s], shift))
+    for split_parts in parts.values():
+        bucket = []
+        for sources, tail_sources, shift in split_parts:
+            heads = [b"\0" + s for s in sources]
+            tails = [s.translate(shift) for s in tail_sources]
+            if len(heads) > len(tails):  # the larger side inner
+                for tail in tails:
+                    bucket += [head + tail for head in heads]
+            else:
+                for head in heads:
+                    bucket += [head + tail for tail in tails]
+        yield bucket
 
 
 def seq_to_tree(e):
@@ -284,9 +350,10 @@ def lambda_labels(d: RectDrawing):
     canonical drawing, where the count below line y is simply the number of
     rects whose top is at height <= y."""
     d = canonical_drawing(d)
-    below = {}
-    for y in range(1, d.height):
-        below[y] = sum(b[3] <= y for b in d.rects)
+    tops = [0] * (d.height + 1)
+    for b in d.rects:
+        tops[b[3]] += 1
+    below = dict(enumerate(accumulate(tops[1:d.height]), 1))
     rect_lam = [0 if b[1] == 0 else below[b[1]] for b in d.rects]
     return below, rect_lam
 
@@ -296,11 +363,21 @@ def tree_T(d: RectDrawing):
     left side of Y; the root is the unique E-rectangle, a virtual node when
     there are several.  Returns (root, parents, children, canonical) over
     the rect indices of canonical, the canonical drawing of d; root = -1 for
-    the virtual node."""
+    the virtual node.  A corner's candidates are looked up in the rects
+    whose left side is on its line, sorted by bottom: the rects with bottom
+    at most its height end at position k, and of those only the last two
+    can reach it."""
     _check_t2_rect(d)
     d = canonical_drawing(d)
+
+    def bottom(j):
+        return d.rects[j][1]
+
     erects = [i for i, b in enumerate(d.rects) if b[2] == d.width]
     root = erects[0] if len(erects) == 1 else -1
+    by_left = [[] for _ in range(d.width)]
+    for j in sorted(range(d.size), key=bottom):
+        by_left[d.rects[j][0]].append(j)
     parents = {}
     for i, (x0, y0, x1, y1) in enumerate(d.rects):
         if x1 == d.width:
@@ -309,13 +386,14 @@ def tree_T(d: RectDrawing):
             elif i != root:
                 raise AssertionError("several E-rects without a virtual root")
             continue
-        cands = [j for j, b in enumerate(d.rects)
-                 if b[0] == x1 and b[1] <= y0 <= b[3]]
+        k = bisect_right(by_left[x1], y0, key=bottom)
+        cands = sorted(j for j in by_left[x1][max(k - 2, 0):k]
+                       if y0 <= d.rects[j][3])
         if len(cands) != 1:
             raise AssertionError(f"SE corner of rect {i} touches {cands}")
         parents[i] = cands[0]
     children = {}
-    for i in sorted(parents, key=lambda i: d.rects[i][1]):  # bottom to top
+    for i in sorted(parents, key=bottom):
         children.setdefault(parents[i], []).append(i)
     return root, parents, children, d
 

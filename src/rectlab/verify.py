@@ -121,6 +121,7 @@ RESTRICTED_N = 8
 SERIES_ORDER = 100
 STRIP_ORDER = 30
 MAX_K = 8
+TREE_IMAGE_N = 12
 
 
 def suite_catalan(ctx, max_n=6):
@@ -133,13 +134,20 @@ def suite_catalan(ctx, max_n=6):
                  for t, d in ctx.grown(n).items())
         r.check(f"n={n}: grown drawings read back as the structural images",
                 ok)
-    levels = bij.tree_image_levels(12)
-    next(levels)  # the empty tree
+    levels = bij.tree_image_levels(TREE_IMAGE_N - 1)
+    lower = [next(levels)]  # the empty tree
     for n, images in enumerate(levels, 1):
+        lower.append(images)
         if not r.check(f"n={n}: tree images distinct and Catalan-many",
                        _count_if_distinct(images)
                        == _row_count("weak", ("td",), n)):
             break
+    else:
+        counts = [_count_if_distinct(bucket)
+                  for bucket in bij.tree_image_buckets(lower)]
+        r.check(f"n={TREE_IMAGE_N}: tree images distinct and Catalan-many",
+                None not in counts
+                and sum(counts) == _row_count("weak", ("td",), TREE_IMAGE_N))
     return r
 
 
@@ -147,7 +155,9 @@ def _count_if_distinct(items):
     """len(items) if no two are equal, else None.  Sorts the list in place,
     which unlike a set or a sorted copy needs no table beside it, and
     compares neighbours in C.  A level of tree_image_levels sorted here
-    makes every later level a few sorted runs, which the sort merges."""
+    makes every later level a few sorted runs, which the sort merges.  The
+    top level is checked one tree_image_buckets list at a time, and the
+    level is distinct iff every list is."""
     items.sort()
     return len(items) if all(map(lt, items, islice(items, 1, None))) else None
 

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from rectlab import bijections as bij
 from rectlab import invseq, universe, verify
-from rectlab.drawing import (RECT_CAP, boundary_touch_counts, is_diagonal,
-                             make_drawing, reflect, strip_drawing, strong_key,
-                             weak_key)
+from rectlab.drawing import (RECT_CAP, RectDrawing, boundary_touch_counts,
+                             is_diagonal, make_drawing, reflect, strip_drawing,
+                             strong_key, weak_key)
 from rectlab.gentree import ClassError, replay_rect_tracked, trace_of_rect
 from rectlab.patterns import contains
 from rectlab.paths import catalan
@@ -211,6 +211,65 @@ def test_catalan_suite_fails_on_a_repeated_tree_image(ctx, monkeypatch):
         ["FAIL n=5: tree images distinct and Catalan-many"]
 
 
+def test_tree_image_buckets_split_the_level_by_its_last_two_bytes():
+    levels = list(bij.tree_image_levels(12))
+    for n in range(13):
+        buckets = list(bij.tree_image_buckets(levels[:n]))
+        assert sorted(x for b in buckets for x in b) == sorted(levels[n]), n
+        keys = [b[0][-2:] for b in buckets]
+        assert all(x[-2:] == key for key, b in zip(keys, buckets) for x in b)
+        assert len(set(keys)) == len(keys), n
+
+
+def test_tree_image_buckets_refuse_entries_past_a_byte():
+    with pytest.raises(ValueError):
+        next(bij.tree_image_buckets([[b""]] * 256))
+
+
+def _split(image):
+    """The left subtree size of the tree with this image: the right part
+    starts at the first position p >= 1 holding p."""
+    return next((p for p in range(1, len(image)) if image[p] == p),
+                len(image)) - 1
+
+
+def test_catalan_suite_fails_on_a_top_image_repeated_from_another_split(
+        ctx, monkeypatch):
+    real = bij.tree_image_buckets
+    sizes = []
+
+    def repeating(levels):
+        done = False
+        for bucket in real(levels):
+            if not done:
+                j = next((j for j, x in enumerate(bucket)
+                          if _split(x) != _split(bucket[0])), None)
+                if j is not None:  # one image twice, the bucket's size kept
+                    bucket[j] = bucket[0]
+                    done = True
+            sizes.append(len(bucket))
+            yield bucket
+        assert done
+
+    monkeypatch.setattr(bij, "tree_image_buckets", repeating)
+    lines = verify.suite_catalan(ctx, max_n=2).lines
+    assert [line for line in lines if line.startswith("FAIL")] == \
+        ["FAIL n=12: tree images distinct and Catalan-many"]
+    assert sum(sizes) == catalan(12)
+
+
+def test_catalan_suite_never_holds_the_top_level_whole(ctx):
+    """All 208,012 images of n = 12 in one list took 16.4 MB traced."""
+    assert verify.suite_catalan(ctx).ok  # the drawings grown before tracing
+    tracemalloc.start()
+    try:
+        assert verify.suite_catalan(ctx).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 def test_one_verify_run_grows_each_binary_tree_once(monkeypatch):
     grown = []
     real = bij.rect_of_tree
@@ -307,6 +366,70 @@ def test_lambda_labels(d3):
     below, per_rect = bij.lambda_labels(d3)
     assert below == {1: 2}
     assert sorted(per_rect) == [0, 0, 2]
+
+
+def _ref_lambda_labels(d):
+    """lambda_labels as one sum over every rect per horizontal line."""
+    d = bij.canonical_drawing(d)
+    below = {}
+    for y in range(1, d.height):
+        below[y] = sum(b[3] <= y for b in d.rects)
+    rect_lam = [0 if b[1] == 0 else below[b[1]] for b in d.rects]
+    return below, rect_lam
+
+
+def _ref_tree_T(d):
+    """tree_T as a scan of every rect for each SE corner's parent."""
+    bij._check_t2_rect(d)
+    d = bij.canonical_drawing(d)
+    erects = [i for i, b in enumerate(d.rects) if b[2] == d.width]
+    root = erects[0] if len(erects) == 1 else -1
+    parents = {}
+    for i, (x0, y0, x1, y1) in enumerate(d.rects):
+        if x1 == d.width:
+            if root == -1:
+                parents[i] = -1
+            elif i != root:
+                raise AssertionError("several E-rects without a virtual root")
+            continue
+        cands = [j for j, b in enumerate(d.rects)
+                 if b[0] == x1 and b[1] <= y0 <= b[3]]
+        if len(cands) != 1:
+            raise AssertionError(f"SE corner of rect {i} touches {cands}")
+        parents[i] = cands[0]
+    children = {}
+    for i in sorted(parents, key=lambda i: d.rects[i][1]):  # bottom to top
+        children.setdefault(parents[i], []).append(i)
+    return root, parents, children, d
+
+
+def test_contact_tree_and_height_labels_match_the_scanning_references():
+    """Every tu-avoider with n <= 6, the 4,000-rect one-row strip (one rect
+    per line, a contact tree as deep as the strip) and the 4,000-rect stack
+    (4,000 horizontal lines)."""
+    drawings = [d for n in range(1, 7)
+                for d in universe.enumerate_class(n, "strong", ("tu",))]
+    drawings += [strip_drawing(1, [0] * (RECT_CAP - 1)),
+                 strip_drawing(RECT_CAP, [])]
+    for d in drawings:
+        assert bij.tree_T(d) == _ref_tree_T(d), d
+        assert bij.lambda_labels(d) == _ref_lambda_labels(d), d
+
+
+def test_contact_tree_refuses_a_corner_as_the_scan_does(monkeypatch):
+    """A corner on a cross touches two rects, one facing a gap none; a valid
+    drawing has neither, so both are drawn past the class check."""
+    monkeypatch.setattr(bij, "_check_t2_rect", lambda d: None)
+    monkeypatch.setattr(bij, "canonical_drawing", lambda d: d)
+    cross = RectDrawing(2, 2, ((0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2),
+                               (1, 1, 2, 2)))
+    gap = RectDrawing(3, 1, ((0, 0, 1, 1), (2, 0, 3, 1)))
+    for d, message in [(cross, "SE corner of rect 2 touches [1, 3]"),
+                       (gap, "SE corner of rect 0 touches []")]:
+        for tree in (bij.tree_T, _ref_tree_T):
+            with pytest.raises(AssertionError) as err:
+                tree(d)
+            assert str(err.value) == message
 
 
 def test_sigma_tree_matches_minimal_inversions():
