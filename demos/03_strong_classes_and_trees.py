@@ -8,9 +8,8 @@ grow these classes; their traces pair drawings with pattern-avoiding
 inversion sequences, and a quadratic-size dynamic program counts levels.
 """
 
-from rectlab import (count_by_tree, count_class, level_counts, replay_invseq,
-                     sigma, t1_children_rect, t1_type_rect, tau7,
-                     trace_of_rect)
+from rectlab import (children_rect, count_by_tree, count_class, level_counts,
+                     replay_invseq, sigma, tau7, trace_of_rect, type_rect)
 from rectlab.gentree import trace_to_json
 from rectlab.invseq import CLASS_PATTERNS, count_invseq
 from rectlab.render import render_ascii
@@ -21,13 +20,14 @@ for n in range(1, 7):
     print(f"n={n}: weak {count_class(n, 'weak', ('td',))}, "
           f"strong {count_class(n, 'strong', ('td',))}")
 
-# The first tree's node type is (number of E-rects, left contacts of the
-# NE-rect); children push E-rects aside or shelve the NE-rect downward.
+# Every tree operation names its tree, "t1" or "t2".  In the first tree a
+# node's type is (number of E-rects, left contacts of the NE-rect); children
+# push E-rects aside or shelve the NE-rect downward.
 d = enumerate_class(4, "strong", ("td",))[5]
 print(render_ascii(d))
-print("type:", t1_type_rect(d))
-for step, child in t1_children_rect(d):
-    print("  child via", step, "type", t1_type_rect(child))
+print("type:", type_rect(d, "t1"))
+for step, child in children_rect(d, "t1"):
+    print("  child via", step, "type", type_rect(child, "t1"))
 
 # A trace identifies a drawing; replaying it on the sequence side gives the
 # same object in inversion-sequence clothing.

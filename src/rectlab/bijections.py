@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
+from operator import itemgetter
 
 from . import invseq
 from .drawing import (RectDrawing, _brief, canonical_drawing, l_labels,
                       make_drawing, order_labels)
-from .gentree import (ClassError, _check_t1_rect, _check_t2_rect, replay_rect,
-                      trace_of_invseq)
+from .gentree import ClassError, _check_rect, replay_rect, trace_of_invseq
 from .patterns import avoids_all
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ from .patterns import avoids_all
 def tau(d: RectDrawing, check=True):
     """Left-count labels read in SW-NE order."""
     if check:
-        _check_t1_rect(d)
+        _check_rect(d, "t1")
     labels = l_labels(d)
     return tuple(labels[i] for i in order_labels(d, "sw-ne"))
 
@@ -77,14 +77,15 @@ def delta(d: RectDrawing) -> str:
 def delta_direct(d: RectDrawing) -> str:
     """Dyck word read off the drawing itself: up the left side and each
     vertical segment (one U per right neighbor, bottom to top), down with one
-    D per left neighbor, finishing along the right side."""
-    _check_t1_rect(d)
-    out = ["U" * sum(b[0] == 0 for b in d.rects)]
-    for x in range(1, d.width):
-        out.append("D" * sum(b[2] == x for b in d.rects))
-        out.append("U" * sum(b[0] == x for b in d.rects))
-    out.append("D" * sum(b[2] == d.width for b in d.rects))
-    return "".join(out)
+    D per left neighbor, finishing along the right side.  The rects are
+    counted once per left side and once per right side."""
+    _check_rect(d, "t1")
+    starts = [0] * (d.width + 1)  # per vertical line, the rects right of it
+    ends = starts[:]  # and those left of it
+    for x0, _, x1, _ in d.rects:
+        starts[x0] += 1
+        ends[x1] += 1
+    return "".join("D" * e + "U" * s for e, s in zip(ends, starts))
 
 
 def delta_inv(word: str) -> RectDrawing:
@@ -304,20 +305,18 @@ def tree_of(d: RectDrawing):
 def tau7(d: RectDrawing):
     """Contact-corrected left-count reading: start from the weak reading and
     lower each plateau entry by the index of the left neighbor its SW corner
-    touches."""
-    _check_t1_rect(d)
+    touches.  The left neighbors on a vertical line are the rects whose right
+    side is on it, which stack without gaps: bisecting their bottoms, sorted
+    once per line, finds the one that a corner touches."""
+    _check_rect(d, "t1")
     e = list(tau(d, check=False))
     pos = {r: p for p, r in enumerate(order_labels(d, "sw-ne"))}
-    for x in range(1, d.width):
-        rights = sorted((i for i, b in enumerate(d.rects) if b[0] == x),
-                        key=lambda i: d.rects[i][1])
-        lefts = sorted((i for i, b in enumerate(d.rects) if b[2] == x),
-                       key=lambda i: d.rects[i][1])
-        for r in rights:
-            y = d.rects[r][1]
-            j = next(idx for idx, l in enumerate(lefts, 1)
-                     if d.rects[l][1] <= y < d.rects[l][3])
-            e[pos[r]] -= j - 1
+    bottoms = [[] for _ in range(d.width + 1)]  # by right side
+    for _, y0, x1, _ in sorted(d.rects, key=itemgetter(1)):
+        bottoms[x1].append(y0)
+    for r, (x0, y0, _, _) in enumerate(d.rects):
+        if x0:
+            e[pos[r]] -= bisect_right(bottoms[x0], y0) - 1
     return tuple(e)
 
 
@@ -367,7 +366,7 @@ def tree_T(d: RectDrawing):
     whose left side is on its line, sorted by bottom: the rects with bottom
     at most its height end at position k, and of those only the last two
     can reach it."""
-    _check_t2_rect(d)
+    _check_rect(d, "t2")
     d = canonical_drawing(d)
 
     def bottom(j):

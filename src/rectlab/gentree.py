@@ -65,6 +65,15 @@ def _check_tree(tree):
         raise ValueError(f"unknown tree {tree!r}")
 
 
+def _check_rect(d, tree):
+    """Refuse an unknown tree, or a drawing outside the tree's class: t1
+    takes the drawings without a td joint, t2 those without a tu joint."""
+    _check_tree(tree)
+    joint, side = ("td", "N") if tree == "t1" else ("tu", "S")
+    if contains(d, joint):
+        raise ClassError(f"drawing has a vertical segment not reaching {side}")
+
+
 # Largest node (sequence length, rect count) that a replay, a trace or a
 # sequence-side node check takes: on random members each takes at most
 # 0.05 s at 200 on a 2-core Xeon, and the cost grows about as the square of
@@ -151,19 +160,6 @@ def _active_td_joints(g):
 # t1 on rectangulations (every vertical segment reaches the top side)
 
 
-def _check_t1_rect(d):
-    if contains(d, "td"):
-        raise ClassError("drawing has a vertical segment not reaching N")
-
-
-def t1_type_rect(d: RectDrawing):
-    _check_t1_rect(d)
-    k = len(_e_rects_top_down(d))
-    ne = d.rects[ne_rect_index(d)]
-    ell = len(_left_neighbor_lines(_view(d), ne[0], ne[1], d.height))
-    return (k, ell)
-
-
 def _t1_star_build(d, j):
     erects = _e_rects_top_down(d)
     _require(1 <= j <= len(erects), f"star parameter {j} out of range")
@@ -230,16 +226,6 @@ def _t1_delete(d):
 
 # ---------------------------------------------------------------------------
 # t2 on rectangulations (every vertical segment reaches the bottom side)
-
-
-def _check_t2_rect(d):
-    if contains(d, "tu"):
-        raise ClassError("drawing has a vertical segment not reaching S")
-
-
-def t2_type_rect(d: RectDrawing):
-    _check_t2_rect(d)
-    return (len(_n_rects_left_right(d)), len(_active_td_joints(_view(d))))
 
 
 def _t2_star_build(d, j):
@@ -355,10 +341,23 @@ def _drawing(g):
     return canonical_drawing(d), perm
 
 
-def _children_rect(d, tree):
-    """All (step, child) pairs below d: the "*" steps, then the "**" steps,
-    then (t2 only) the "***" step."""
-    k, ell = t1_type_rect(d) if tree == "t1" else t2_type_rect(d)
+def type_rect(d: RectDrawing, tree):
+    """The type (k, ell) of d in the tree.  On t1, k counts the E-rects and
+    ell the left neighbors of the NE rect; on t2, k counts the N-rects and
+    ell the active td joints."""
+    _check_rect(d, tree)
+    g = _view(d)
+    if tree == "t1":
+        ne = d.rects[ne_rect_index(d)]
+        return (len(_e_rects_top_down(d)),
+                len(_left_neighbor_lines(g, ne[0], ne[1], d.height)))
+    return (len(_n_rects_left_right(d)), len(_active_td_joints(g)))
+
+
+def children_rect(d: RectDrawing, tree):
+    """All (step, child) pairs below d in the tree: the "*" steps, then the
+    "**" steps, then (t2 only) the "***" step."""
+    k, ell = type_rect(d, tree)
     steps = [(STAR, j) for j in range(1, k + 1)]
     if tree == "t1":
         steps += [(DSTAR, i) for i in range(ell + 1)]
@@ -368,21 +367,12 @@ def _children_rect(d, tree):
     return [(step, _drawing(_grow(g, tree, step))[0]) for step in steps]
 
 
-def t1_children_rect(d):
-    """All (step, child) pairs below d in tree t1."""
-    return _children_rect(d, "t1")
-
-
-def t2_children_rect(d):
-    return _children_rect(d, "t2")
-
-
 def trace_of_rect(d, tree):
     """Root-to-node step list identifying d in the tree.  Only d itself is
     analysed: the deletes shrink its boxes."""
     _check_tree(tree)
     _check_size(d.size)
-    (_check_t1_rect if tree == "t1" else _check_t2_rect)(d)
+    _check_rect(d, tree)
     g = _view(d)
     delete = _t1_delete if tree == "t1" else _t2_delete
     steps = []
@@ -508,27 +498,16 @@ def _step(e, u, tree, cls, admissible=None, child_admissible=None):
     return (DSTAR, sum(1 for v in admissible if 0 < v <= u))
 
 
-def t1_type_invseq(e, cls="i7"):
-    return _type_seq(_check_seq(e, "t1", cls), "t1", cls)
+def type_invseq(e, tree, cls="i7"):
+    """The type of the sequence e in the tree; t2 ignores cls."""
+    return _type_seq(_check_seq(e, tree, cls), tree, cls)
 
 
-def t2_type_invseq(e):
-    return _type_seq(_check_seq(e, "t2", None), "t2", None)
-
-
-def _children_invseq(e, tree, cls):
+def children_invseq(e, tree, cls="i7"):
+    """All (step, child) pairs below e: appending each admissible value."""
     e = _check_seq(e, tree, cls)
     ext = _admissible(e, tree, cls)
     return [(_step(e, u, tree, cls, ext), e + (u,)) for u in ext]
-
-
-def t1_children_invseq(e, cls="i7"):
-    """All (step, child) pairs below e: appending each admissible value."""
-    return _children_invseq(e, "t1", cls)
-
-
-def t2_children_invseq(e):
-    return _children_invseq(e, "t2", None)
 
 
 def trace_of_invseq(e, tree, cls="i7"):

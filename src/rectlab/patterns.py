@@ -102,23 +102,28 @@ def avoids_all(d: RectDrawing, patterns) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def is_guillotine(d: RectDrawing) -> bool:
-    """True iff d decomposes recursively by full cuts."""
-    return _guillotine(d.rects, 0, 0, d.width, d.height)
-
-
-def _guillotine(boxes, x0, y0, x1, y1):
-    if len(boxes) == 1:
-        return True
-    for x in range(x0 + 1, x1):
-        if all(b[2] <= x or b[0] >= x for b in boxes):
-            left = [b for b in boxes if b[2] <= x]
-            right = [b for b in boxes if b[0] >= x]
-            return (_guillotine(left, x0, y0, x, y1)
-                    and _guillotine(right, x, y0, x1, y1))
-    for y in range(y0 + 1, y1):
-        if all(b[3] <= y or b[1] >= y for b in boxes):
-            low = [b for b in boxes if b[3] <= y]
-            high = [b for b in boxes if b[1] >= y]
-            return (_guillotine(low, x0, y0, x1, y)
-                    and _guillotine(high, x0, y, x1, y1))
-    return False
+    """True iff d decomposes recursively by full cuts.  Each part is cut at
+    its first full vertical cut, or else its first full horizontal one; the
+    parts still to cut wait on a stack, as a drawing nests as many cuts as
+    it has rects."""
+    parts = [(d.rects, 0, 0, d.width, d.height)]
+    while parts:
+        boxes, x0, y0, x1, y1 = parts.pop()
+        if len(boxes) == 1:
+            continue
+        for x in range(x0 + 1, x1):
+            if all(b[2] <= x or b[0] >= x for b in boxes):
+                parts.append(([b for b in boxes if b[2] <= x], x0, y0, x, y1))
+                parts.append(([b for b in boxes if b[0] >= x], x, y0, x1, y1))
+                break
+        else:
+            for y in range(y0 + 1, y1):
+                if all(b[3] <= y or b[1] >= y for b in boxes):
+                    parts.append(([b for b in boxes if b[3] <= y],
+                                  x0, y0, x1, y))
+                    parts.append(([b for b in boxes if b[1] >= y],
+                                  x0, y, x1, y1))
+                    break
+            else:
+                return False
+    return True

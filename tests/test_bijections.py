@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from rectlab import bijections as bij
 from rectlab import invseq, universe, verify
 from rectlab.drawing import (RECT_CAP, RectDrawing, boundary_touch_counts,
-                             is_diagonal, make_drawing, reflect, strip_drawing,
-                             strong_key, weak_key)
+                             from_json, is_diagonal, make_drawing, reflect,
+                             strip_drawing, strong_key, weak_key)
 from rectlab.gentree import ClassError, replay_rect_tracked, trace_of_rect
 from rectlab.patterns import contains
 from rectlab.paths import catalan
@@ -356,6 +356,49 @@ def test_tau7_weak_projection():
                 assert all(a <= b for a, b in zip(e, e[1:]))
 
 
+def _ref_tau7(d):
+    """tau7 as a scan of every rect twice per vertical line, and of the
+    line's left neighbors once per right neighbor."""
+    bij._check_rect(d, "t1")
+    e = list(bij.tau(d, check=False))
+    pos = {r: p for p, r in enumerate(bij.order_labels(d, "sw-ne"))}
+    for x in range(1, d.width):
+        rights = sorted((i for i, b in enumerate(d.rects) if b[0] == x),
+                        key=lambda i: d.rects[i][1])
+        lefts = sorted((i for i, b in enumerate(d.rects) if b[2] == x),
+                       key=lambda i: d.rects[i][1])
+        for r in rights:
+            y = d.rects[r][1]
+            j = next(idx for idx, l in enumerate(lefts, 1)
+                     if d.rects[l][1] <= y < d.rects[l][3])
+            e[pos[r]] -= j - 1
+    return tuple(e)
+
+
+def _ref_delta_direct(d):
+    """delta_direct as two sums over every rect per vertical line."""
+    bij._check_rect(d, "t1")
+    out = ["U" * sum(b[0] == 0 for b in d.rects)]
+    for x in range(1, d.width):
+        out.append("D" * sum(b[2] == x for b in d.rects))
+        out.append("U" * sum(b[0] == x for b in d.rects))
+    out.append("D" * sum(b[2] == d.width for b in d.rects))
+    return "".join(out)
+
+
+def test_direct_readings_match_the_scanning_references():
+    """Every td-avoider with n <= 6, the 4,000-rect one-row strip (4,000
+    lines, built through make_drawing) and the 2,001-rect staircase of
+    alternating top and left rects."""
+    drawings = [d for n in range(1, 7)
+                for d in universe.enumerate_class(n, "strong", ("td",))]
+    drawings += [from_json(strip_drawing(1, [0] * (RECT_CAP - 1)).to_json()),
+                 bij.rect_of_nw_word("NW" * 1000)]
+    for d in drawings:
+        assert bij.tau7(d) == _ref_tau7(d), d
+        assert bij.delta_direct(d) == _ref_delta_direct(d), d
+
+
 def test_sigma_examples(v2, h2, d3):
     assert bij.sigma(v2) == (0, 0)
     assert bij.sigma(h2) == (0, 1)
@@ -380,7 +423,7 @@ def _ref_lambda_labels(d):
 
 def _ref_tree_T(d):
     """tree_T as a scan of every rect for each SE corner's parent."""
-    bij._check_t2_rect(d)
+    bij._check_rect(d, "t2")
     d = bij.canonical_drawing(d)
     erects = [i for i, b in enumerate(d.rects) if b[2] == d.width]
     root = erects[0] if len(erects) == 1 else -1
@@ -419,7 +462,7 @@ def test_contact_tree_and_height_labels_match_the_scanning_references():
 def test_contact_tree_refuses_a_corner_as_the_scan_does(monkeypatch):
     """A corner on a cross touches two rects, one facing a gap none; a valid
     drawing has neither, so both are drawn past the class check."""
-    monkeypatch.setattr(bij, "_check_t2_rect", lambda d: None)
+    monkeypatch.setattr(bij, "_check_rect", lambda d, tree: None)
     monkeypatch.setattr(bij, "canonical_drawing", lambda d: d)
     cross = RectDrawing(2, 2, ((0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2),
                                (1, 1, 2, 2)))

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script runs to completion in a fresh interpreter and prints
+exactly its recorded output, tests/data/demos/<name>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "data" / "demos"
 
 
 def test_demos_are_found():
@@ -22,4 +24,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

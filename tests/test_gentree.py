@@ -8,14 +8,11 @@ from rectlab import gentree, invseq, universe, verify
 from rectlab.drawing import (InvalidDrawing, canonical_drawing,
                              make_drawing_with_perm, ne_rect_index,
                              segments_of, size1, strong_key)
-from rectlab.gentree import (ClassError, count_by_tree, level_counts,
-                             replay_invseq,
+from rectlab.gentree import (ClassError, children_invseq, children_rect,
+                             count_by_tree, level_counts, replay_invseq,
                              replay_levels, replay_rect, replay_rect_tracked,
-                             t1_children_invseq, t1_children_rect,
-                             t1_type_invseq, t1_type_rect,
-                             t2_children_invseq, t2_children_rect,
-                             t2_type_invseq, t2_type_rect, trace_of_invseq,
-                             trace_of_rect, trace_from_json, trace_to_json)
+                             trace_of_invseq, trace_of_rect, trace_from_json,
+                             trace_to_json, type_invseq, type_rect)
 from rectlab.patterns import contains
 
 
@@ -25,42 +22,42 @@ def _extensions(e, pats):
 
 
 def test_types(one, h2, d3, d3p):
-    assert t1_type_invseq((0,)) == (1, 0)
-    assert t1_type_rect(one) == (1, 0)
-    assert t1_type_rect(d3p) == (2, 0)
-    assert t1_type_rect(h2) == (2, 0)
-    assert t2_type_rect(d3) == (1, 1)
+    assert type_invseq((0,), "t1") == (1, 0)
+    assert type_rect(one, "t1") == (1, 0)
+    assert type_rect(d3p, "t1") == (2, 0)
+    assert type_rect(h2, "t1") == (2, 0)
+    assert type_rect(d3, "t2") == (1, 1)
     with pytest.raises(ClassError):
-        t1_type_rect(d3)  # contains the hanging-stem joint
+        type_rect(d3, "t1")  # contains the hanging-stem joint
     with pytest.raises(ClassError):
-        t2_type_rect(d3p)
+        type_rect(d3p, "t2")
 
 
 def test_root_children():
-    kids = t1_children_invseq((0,))
+    kids = children_invseq((0,), "t1")
     assert {(s, c) for s, c in kids} == \
         {(("*", 1), (0, 1)), (("**", 0), (0, 0))}
-    assert sorted(t1_type_invseq(c) for _, c in kids) == [(1, 0), (2, 0)]
+    assert sorted(type_invseq(c, "t1") for _, c in kids) == [(1, 0), (2, 0)]
 
 
 def test_children_arity():
     for n in range(1, 5):
         for d in universe.enumerate_class(n, "strong", ("td",)):
-            k, ell = t1_type_rect(d)
-            assert len(t1_children_rect(d)) == k + ell + 1
+            k, ell = type_rect(d, "t1")
+            assert len(children_rect(d, "t1")) == k + ell + 1
         for d in universe.enumerate_class(n, "strong", ("tu",)):
-            k, ell = t2_type_rect(d)
-            assert len(t2_children_rect(d)) == k + ell + 1
+            k, ell = type_rect(d, "t2")
+            assert len(children_rect(d, "t2")) == k + ell + 1
 
 
 def test_star_step_reaches_d3p(h2, d3p):
-    kids = t1_children_rect(h2)
+    kids = children_rect(h2, "t1")
     assert [s for s, c in kids if strong_key(c) == strong_key(d3p)] == \
         [("*", 1)]
 
 
 def test_t2_children_types_can_collide(d3):
-    types = [(s[0], t2_type_rect(c)) for s, c in t2_children_rect(d3)]
+    types = [(s[0], type_rect(c, "t2")) for s, c in children_rect(d3, "t2")]
     assert sorted(types) == [("*", (1, 1)), ("**", (2, 0)), ("***", (2, 0))]
 
 
@@ -68,16 +65,16 @@ def test_child_types_follow_the_rules():
     for n in range(1, 6):
         for e in invseq.enumerate_invseq(n):
             if invseq.class_check(e, "i7"):
-                k, ell = t1_type_invseq(e)
-                got = sorted(t1_type_invseq(c) for _, c in
-                             t1_children_invseq(e))
+                k, ell = type_invseq(e, "t1")
+                got = sorted(type_invseq(c, "t1") for _, c in
+                             children_invseq(e, "t1"))
                 want = sorted([(j, k - j) for j in range(1, k + 1)] +
                               [(k + 1, i) for i in range(ell + 1)])
                 assert got == want, e
             if invseq.avoids_all(e, ("011", "201")):
-                k, ell = t2_type_invseq(e)
-                got = sorted(t2_type_invseq(c) for _, c in
-                             t2_children_invseq(e))
+                k, ell = type_invseq(e, "t2")
+                got = sorted(type_invseq(c, "t2") for _, c in
+                             children_invseq(e, "t2"))
                 want = sorted([(j, k + ell - j) for j in range(1, k + 1)] +
                               [(k + 1, i) for i in range(ell)] + [(k + 1, 0)])
                 assert got == want, e
@@ -123,12 +120,12 @@ def test_children_match_brute_force_extension():
         for e in invseq.enumerate_invseq(n):
             for cls in ("i6", "i7", "i8"):
                 if invseq.class_check(e, cls):
-                    kids = {c for _, c in t1_children_invseq(e, cls)}
+                    kids = {c for _, c in children_invseq(e, "t1", cls)}
                     want = {e + (u,) for u in _extensions(
                         e, invseq.CLASS_PATTERNS[cls])}
                     assert kids == want
             if invseq.avoids_all(e, ("011", "201")):
-                kids = {c for _, c in t2_children_invseq(e)}
+                kids = {c for _, c in children_invseq(e, "t2")}
                 want = {e + (u,) for u in _extensions(
                     e, ("011", "201"))}
                 assert kids == want
@@ -660,12 +657,12 @@ def test_sequence_side_matches_the_reference_rules():
     seen = 0
     for tree, cls, e in _sequence_members(6):
         if tree == "t1":
-            assert t1_type_invseq(e, cls) == _ref_t1_type_invseq(e, cls)
-            assert (t1_children_invseq(e, cls)
+            assert type_invseq(e, "t1", cls) == _ref_t1_type_invseq(e, cls)
+            assert (children_invseq(e, "t1", cls)
                     == _ref_t1_children_invseq(e, cls))
         else:
-            assert t2_type_invseq(e) == _ref_t2_type_invseq(e)
-            assert t2_children_invseq(e) == _ref_t2_children_invseq(e)
+            assert type_invseq(e, "t2") == _ref_t2_type_invseq(e)
+            assert children_invseq(e, "t2") == _ref_t2_children_invseq(e)
         tr = trace_of_invseq(e, tree, cls)
         assert tr == _ref_trace_of_invseq(e, tree, cls), (tree, cls, e)
         assert (replay_invseq(tr, tree, cls)
@@ -676,10 +673,9 @@ def test_sequence_side_matches_the_reference_rules():
 
 @pytest.mark.parametrize("tree,pattern", [("t1", "td"), ("t2", "tu")])
 def test_rect_side_matches_the_reference_rules(tree, pattern):
-    children = t1_children_rect if tree == "t1" else t2_children_rect
     for n in range(1, 6):
         for d in universe.enumerate_class(n, "strong", (pattern,)):
-            got, want = children(d), _ref_children_rect(d, tree)
+            got, want = children_rect(d, tree), _ref_children_rect(d, tree)
             assert [s for s, _ in got] == [s for s, _ in want]
             assert [c.to_json() for _, c in got] == \
                 [c.to_json() for _, c in want]
@@ -889,7 +885,11 @@ def test_unknown_tree_and_empty_sequence_are_refused(one):
                  lambda: replay_rect([], "t3"),
                  lambda: replay_rect_tracked([], "bogus"),
                  lambda: trace_of_invseq((0,), "t3"),
-                 lambda: replay_invseq([], "t3")):
+                 lambda: replay_invseq([], "t3"),
+                 lambda: type_rect(one, "t3"),
+                 lambda: children_rect(one, "bogus"),
+                 lambda: type_invseq((0,), "t3"),
+                 lambda: children_invseq((0,), "t3", "i6")):
         with pytest.raises(ValueError, match="unknown tree"):
             call()
     for tree in ("t1", "t2"):
@@ -899,14 +899,23 @@ def test_unknown_tree_and_empty_sequence_are_refused(one):
         trace_of_invseq((0, 2), "t1")  # not an inversion sequence
 
 
+def test_t2_node_operations_ignore_the_class():
+    for n in range(1, 6):
+        for e in invseq.enumerate_invseq(n, gentree.T2_PATTERNS):
+            for cls in ("i6", "i8"):
+                assert type_invseq(e, "t2", cls) == type_invseq(e, "t2")
+                assert (children_invseq(e, "t2", cls)
+                        == children_invseq(e, "t2"))
+
+
 def test_t2_refuses_exactly_the_sequences_that_contain_its_patterns():
     for n in range(1, 7):
         for e in invseq.enumerate_invseq(n):
             if invseq.avoids_all(e, gentree.T2_PATTERNS):
-                t2_type_invseq(e)
+                type_invseq(e, "t2")
             else:
                 with pytest.raises(ClassError, match="does not avoid"):
-                    t2_type_invseq(e)
+                    type_invseq(e, "t2")
 
 
 def test_t1_children_are_the_td_avoiding_reverse_search_children(ctx):
@@ -915,7 +924,7 @@ def test_t1_children_are_the_td_avoiding_reverse_search_children(ctx):
     builds from it.  Tree t2 does not do the same for tu-avoiders."""
     for n in range(1, 7):
         for d in ctx.strong_class(n, ("td",)):
-            grown = sorted(strong_key(c) for _, c in t1_children_rect(d))
+            grown = sorted(strong_key(c) for _, c in children_rect(d, "t1"))
             searched = sorted(strong_key(c) for c in universe._children(d)
                               if not contains(c, "td"))
             assert grown == searched, d.to_json()

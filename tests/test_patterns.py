@@ -1,5 +1,6 @@
 from rectlab import patterns, universe
-from rectlab.drawing import joints_of, make_drawing, reflect, segments_of
+from rectlab.drawing import (joints_of, make_drawing, reflect, segments_of,
+                             strip_drawing)
 from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
                               is_guillotine, occurrences)
 
@@ -89,6 +90,42 @@ def test_guillotine_iff_windmill_free_small():
     for n in range(1, 6):
         for d in universe.enumerate_strong(n):
             assert is_guillotine(d) == avoids_all(d, ("wm+", "wm-"))
+
+
+def _ref_guillotine(boxes, x0, y0, x1, y1):
+    """is_guillotine on the boxes tiling [x0, x1] x [y0, y1], as a
+    recursion with one call per cut."""
+    if len(boxes) == 1:
+        return True
+    for x in range(x0 + 1, x1):
+        if all(b[2] <= x or b[0] >= x for b in boxes):
+            left = [b for b in boxes if b[2] <= x]
+            right = [b for b in boxes if b[0] >= x]
+            return (_ref_guillotine(left, x0, y0, x, y1)
+                    and _ref_guillotine(right, x, y0, x1, y1))
+    for y in range(y0 + 1, y1):
+        if all(b[3] <= y or b[1] >= y for b in boxes):
+            low = [b for b in boxes if b[3] <= y]
+            high = [b for b in boxes if b[1] >= y]
+            return (_ref_guillotine(low, x0, y0, x1, y)
+                    and _ref_guillotine(high, x0, y, x1, y1))
+    return False
+
+
+def test_guillotine_matches_the_recursive_reference():
+    refused = 0
+    for n in range(1, 7):
+        for d in universe.enumerate_strong(n):
+            got = is_guillotine(d)
+            assert got == _ref_guillotine(d.rects, 0, 0, d.width, d.height)
+            refused += not got
+    assert refused  # the windmills of n = 5 and 6
+
+
+def test_guillotine_cuts_a_strip_deeper_than_the_recursion_limit():
+    """A one-row strip nests one cut per rect, past the 1,000 frames a
+    recursion gets."""
+    assert is_guillotine(strip_drawing(1, [0] * 1499))
 
 
 def test_td_avoiders_reach_top():
