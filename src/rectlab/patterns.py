@@ -6,6 +6,7 @@ T-joint orientations, "wm+" / "wm-" for the two windmill chiralities.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 from .drawing import RectDrawing, _line_spans, joints_of, segments_of
@@ -100,30 +101,39 @@ def avoids_all(d: RectDrawing, patterns) -> bool:
     return True
 
 
+def _cut(boxes, a, lo, hi, across):
+    """Boxes that tile a part from line lo to line hi on axis a (0: x,
+    1: y), across long on the other axis, cut at all of its full cuts on
+    axis a at once: (start, end, boxes) per slab, or [] when it has none.
+    A line is a full cut iff the sides of the boxes that end on it add up
+    to across, so one pass over the boxes finds them all."""
+    cover = [0] * (hi - lo + 1)
+    for b in boxes:
+        cover[b[a + 2] - lo] += b[3 - a] - b[1 - a]
+    cuts = [lo + i for i, s in enumerate(cover) if s == across]  # hi last
+    if len(cuts) == 1:
+        return []
+    slabs = [[] for _ in cuts]
+    for b in boxes:
+        slabs[bisect_right(cuts, b[a])].append(b)
+    return list(zip([lo, *cuts], cuts, slabs))
+
+
 @lru_cache(maxsize=1 << 16)
 def is_guillotine(d: RectDrawing) -> bool:
     """True iff d decomposes recursively by full cuts.  Each part is cut at
-    its first full vertical cut, or else its first full horizontal one; the
-    parts still to cut wait on a stack, as a drawing nests as many cuts as
-    it has rects."""
+    all of its full vertical cuts, or else at all of its full horizontal
+    ones; the parts still to cut wait on a stack, as a drawing can nest
+    one cut per rect (a staircase, peeling one rect at each cut)."""
     parts = [(d.rects, 0, 0, d.width, d.height)]
     while parts:
         boxes, x0, y0, x1, y1 = parts.pop()
         if len(boxes) == 1:
             continue
-        for x in range(x0 + 1, x1):
-            if all(b[2] <= x or b[0] >= x for b in boxes):
-                parts.append(([b for b in boxes if b[2] <= x], x0, y0, x, y1))
-                parts.append(([b for b in boxes if b[0] >= x], x, y0, x1, y1))
-                break
+        if slabs := _cut(boxes, 0, x0, x1, y1 - y0):
+            parts += [(s, lo, y0, hi, y1) for lo, hi, s in slabs]
+        elif slabs := _cut(boxes, 1, y0, y1, x1 - x0):
+            parts += [(s, x0, lo, x1, hi) for lo, hi, s in slabs]
         else:
-            for y in range(y0 + 1, y1):
-                if all(b[3] <= y or b[1] >= y for b in boxes):
-                    parts.append(([b for b in boxes if b[3] <= y],
-                                  x0, y0, x1, y))
-                    parts.append(([b for b in boxes if b[1] >= y],
-                                  x0, y, x1, y1))
-                    break
-            else:
-                return False
+            return False
     return True

@@ -1,5 +1,7 @@
+import time
+
 from rectlab import patterns, universe
-from rectlab.drawing import (joints_of, make_drawing, reflect, segments_of,
+from rectlab.drawing import (RECT_CAP, joints_of, make_drawing, reflect, segments_of,
                              strip_drawing)
 from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
                               is_guillotine, occurrences)
@@ -123,9 +125,43 @@ def test_guillotine_matches_the_recursive_reference():
 
 
 def test_guillotine_cuts_a_strip_deeper_than_the_recursion_limit():
-    """A one-row strip nests one cut per rect, past the 1,000 frames a
+    """A one-row strip has one cut per rect, past the 1,000 frames a
     recursion gets."""
     assert is_guillotine(strip_drawing(1, [0] * 1499))
+
+
+def _staircase(m, core, side):
+    """A column peeled off the left, then a row off the bottom, m times,
+    around core: boxes filling a side x side box."""
+    w = m + side
+    return make_drawing(w, w, [
+        *(b for k in range(m)
+          for b in ((k, k, k + 1, w), (k + 1, k, w, k + 1))),
+        *((x0 + m, y0 + m, x1 + m, y1 + m) for x0, y0, x1, y1 in core)])
+
+
+def test_guillotine_cuts_a_staircase_deeper_than_the_recursion_limit(
+        pinwheel):
+    """A staircase of 600 steps nests 1,200 cuts, each part holding the
+    next: the parts wait on a stack."""
+    assert is_guillotine(_staircase(600, [(0, 0, 1, 1)], 1))
+    assert not is_guillotine(_staircase(600, pinwheel.rects, 3))
+
+
+def test_guillotine_cuts_a_strip_in_linear_time():
+    """All the cuts of a one-row strip are found in one pass: ten times the
+    rects take about ten times as long, not a hundred."""
+    def best(rects):
+        d = strip_drawing(1, [0] * (rects - 1))
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert is_guillotine.__wrapped__(d)  # past the lru_cache
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best(RECT_CAP) / best(RECT_CAP // 10)
+    assert ratio < 30, ratio
 
 
 def test_td_avoiders_reach_top():

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -6,8 +8,9 @@ from test_drawing import _ref_tilings
 
 from rectlab import universe
 from rectlab.bijections import beta
-from rectlab.drawing import (InvalidDrawing, _line_spans, canonical_drawing,
-                             make_drawing, ne_rect_index, strong_key,
+from rectlab.drawing import (InvalidDrawing, _forced_before, _kernel,
+                             _line_spans, canonical_drawing, make_drawing,
+                             ne_rect_index, relations_of, strong_key,
                              validate, weak_key)
 from rectlab.patterns import avoids_all, contains
 
@@ -80,6 +83,57 @@ def test_counts_search_order_invariant():
 def test_generator_matches_reference_dfs():
     for n in range(1, 8):
         assert universe.enumerate_strong(n) == _dfs_strong(n)
+
+
+def test_canonical_boxes_identify_the_strong_class():
+    # every generic tiling with n <= 6: equal canonical boxes iff equal keys
+    keys_of, boxes_of = {}, {}
+    tilings = 0
+    for n in range(1, 7):
+        for width in range(1, n + 1):
+            for boxes in _ref_tilings(width, n + 1 - width, n):
+                if len(boxes) != n:
+                    continue
+                try:
+                    d = make_drawing(width, n + 1 - width, boxes)
+                except InvalidDrawing:
+                    continue
+                tilings += 1
+                key, rects = strong_key(d), canonical_drawing(d).rects
+                keys_of.setdefault(rects, set()).add(key)
+                boxes_of.setdefault(key, set()).add(rects)
+    assert tilings == 831 and len(keys_of) == len(boxes_of) == 791
+    assert all(len(v) == 1 for v in keys_of.values())
+    assert all(len(v) == 1 for v in boxes_of.values())
+
+
+def _random_ranks(runs, rng):
+    """ranks[a]: the position of line a in a random linear extension of the
+    forced order of the pieces with these spans; the box sides stay put."""
+    before = _forced_before(runs)
+    taken, ranks = 0, [0] * (len(runs) + 2)
+    for rank in range(1, len(runs) + 1):
+        j = rng.choice([j for j in range(len(runs))
+                        if not taken >> j & 1 and not before[j] & ~taken])
+        taken |= 1 << j
+        ranks[j + 1] = rank
+    ranks[-1] = len(runs) + 1
+    return ranks
+
+
+def test_every_layout_of_a_class_has_its_canonical_boxes():
+    rng = random.Random(7)
+    moved = 0
+    for d in universe.enumerate_strong(7):
+        v, h = _line_spans(d)
+        for _ in range(3):
+            xr, yr = _random_ranks(v, rng), _random_ranks(h, rng)
+            boxes = [(xr[x0], yr[y0], xr[x1], yr[y1])
+                     for x0, y0, x1, y1 in d.rects]
+            layout = make_drawing(d.width, d.height, boxes)
+            moved += layout != d
+            assert canonical_drawing(layout).rects == d.rects, layout
+    assert moved == 636  # of 11,814: most classes have one layout
 
 
 def test_generator_reaches_n8():
@@ -191,6 +245,51 @@ def test_headerless_or_damaged_cache_is_rebuilt(tmp_path):
         path.write_text(text)
         assert universe.enumerate_weak(4, cache_dir=tmp_path) == want
         assert path.read_text() == head + "".join(body)
+
+
+def test_cache_loads_the_levels_as_built(tmp_path):
+    # level by level, so that each call builds its level from the cache
+    built = {}
+    for mode, enumerate_ in (("strong", universe.enumerate_strong),
+                             ("weak", universe.enumerate_weak)):
+        for n in range(1, 8):
+            built[mode, n] = enumerate_(n, cache_dir=tmp_path)
+    for (mode, n), level in built.items():
+        assert universe._cache_load(tmp_path, n, mode) == level
+
+
+def _traced_peak(build):
+    """The tracemalloc peak of build(), in bytes, from a cold relations_of
+    memo."""
+    relations_of.cache_clear()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_level_holds_one_copy_of_each_row_and_box(tmp_path):
+    built = universe.enumerate_strong(7, cache_dir=tmp_path)
+    loaded = universe._cache_load(tmp_path, 7, "strong")
+    rows = [r for d in built for r in _kernel(d)[0]]
+    assert len(rows) == 27566
+    assert len(set(map(id, rows))) == len(set(rows)) == 448
+    for level in (built, loaded):
+        boxes = [b for d in level for b in d.rects]
+        assert len(set(map(id, boxes))) == len(set(boxes))
+
+
+def test_level_7_builds_in_a_few_megabytes():
+    peak = _traced_peak(lambda: universe.enumerate_strong(7))
+    assert peak < 5 * 2 ** 20, peak
+
+
+@pytest.mark.slow
+def test_level_8_builds_in_a_few_tens_of_megabytes():
+    peak = _traced_peak(lambda: universe.enumerate_strong(8, max_n=8))
+    assert peak < 35 * 2 ** 20, peak
 
 
 def test_strip_class_oracle_matches_universe():
