@@ -230,7 +230,7 @@ def cmd_oeis(args):
                                        cache_dir=_cache_dir(args))
         except ValueError:
             break
-    report = oeis._compare(args.id, b_file, ours, args.offset)
+    report = oeis.compare(args.id, b_file, ours, args.offset)
     side = f"ours = {mode}:avoid={','.join(sorted(avoid))} [{tag}]"
     print(f"{args.id} vs {side}: checked {report['checked']} terms, "
           f"{len(report['mismatches'])} mismatches")

@@ -76,8 +76,8 @@ def _check_rect(d, tree):
 
 # Largest node (sequence length, rect count) that a replay, a trace or a
 # sequence-side node check takes: on random members each takes at most
-# 0.05 s at 200 on a 2-core Xeon, and the cost grows about as the square of
-# the size (up to 0.84 s at 800).
+# 0.03 s at 200 on a 2-core Xeon, and the cost grows about as the square of
+# the size (up to 0.76 s at 800, a drawing-side replay or trace).
 NODE_CAP = 200
 
 
@@ -413,18 +413,16 @@ def replay_levels(tree, n):
     if n < 1:
         raise ValueError("level must be >= 1")
     cls = "i7"
-    signs, state, ext = _root_state(tree, cls)
-    # a member carries its avoidance state and admissible values, which give
-    # its children and, on t1, its own step type
-    level = [((0,), _ROOT, state, ext)]
+    root, signs, (state,) = _walk((0,), tree, cls)
+    # a member carries its avoidance state and the admissible values that
+    # list its children
+    level = [(root, _ROOT, state, invseq._allowed(state, 1))]
     for m in range(1, n + 1):
         if m > 1:
             children = []
             for e, g, state, ext in level:
                 for u in ext:
-                    kid = invseq._extend(state, u, signs)
-                    kid_ext = invseq._allowed(kid, m)
-                    step = _step(e, u, tree, cls, ext, kid_ext)
+                    step, kid, kid_ext = _child(e, u, tree, cls, signs, state)
                     children.append((e + (u,), _grow(g, tree, step), kid,
                                      kid_ext))
             level = children
@@ -435,99 +433,104 @@ def replay_levels(tree, n):
 # sequence side
 #
 # A node is a non-empty sequence in the tree's class, and its children append
-# each admissible value u.  The classes are closed under prefixes, so a
-# sequence is checked once, on entry, and its prefixes are nodes.
+# each admissible value u: the u <= len(e) whose bit is clear in the
+# forbidden mask of e's avoidance state.  One walk from the root (0,), one
+# avoidance step per entry, checks a sequence and keeps each prefix's state;
+# the classes are closed under prefixes, so each prefix is a node.
 
 
-def _check_seq(e, tree, cls):
-    """e as a tuple, once it is a non-empty sequence in the tree's class."""
+def _walk(e, tree, cls):
+    """(e as a tuple, the class's avoidance signs, the avoidance states of
+    e[:1], e[:2], ..., e) once e is a non-empty sequence in the tree's
+    class, that is once no entry's bit is set in the forbidden mask of the
+    prefix before it.  The class of t1 is cls, as the avoiders of its four
+    patterns (class_check's structural class); t2 ignores cls."""
     _check_tree(tree)
     e = invseq.check_invseq(e)
     if not e:
         raise ClassError("the empty sequence is not a tree node")
     _check_size(len(e))
-    if tree == "t1" and not invseq.class_check(e, cls):
-        raise ClassError(f"{_brief(e)} is not in class {cls}")
-    if tree == "t2" and not invseq._avoids(e, _class_patterns(tree, cls)):
-        raise ClassError(f"{_brief(e)} does not avoid {T2_PATTERNS}")
-    return e
-
-
-def _class_patterns(tree, cls):
-    """The compiled patterns of the tree's sequence class."""
+    if tree == "t1" and cls not in invseq.CLASS_PATTERNS:
+        raise ValueError(f"unknown class {cls!r}")
     pats = invseq.CLASS_PATTERNS[cls] if tree == "t1" else T2_PATTERNS
-    return tuple(map(invseq._pattern, pats))
+    signs, state = invseq._avoidance([invseq._pattern(p) for p in pats])
+    states = [invseq._extend(state, 0, signs)]
+    for v in e[1:]:
+        if states[-1][1] >> v & 1:
+            raise ClassError(f"{_brief(e)} is not in class {cls}"
+                             if tree == "t1" else
+                             f"{_brief(e)} does not avoid {T2_PATTERNS}")
+        states.append(invseq._extend(states[-1], v, signs))
+    return e, signs, states
 
 
-def _root_state(tree, cls):
-    """(avoidance signs of the class, avoidance state of the root (0,), its
-    admissible values)."""
-    signs, state = invseq._avoidance(_class_patterns(tree, cls))
-    state = invseq._extend(state, 0, signs)
-    return signs, state, invseq._allowed(state, 1)
+def _free(state, lo, hi):
+    """The number of values lo..hi-1 that a node in the avoidance state
+    admits; hi is at most the node's length."""
+    return ((~state[1] & (1 << hi) - 1) >> lo).bit_count()
 
 
-def _admissible(e, tree, cls):
-    """The values u, ascending, for which e + (u,) is in the class; e must
-    be a member, as every node is."""
-    return invseq._avoiding_values(e, _class_patterns(tree, cls))
-
-
-def _type_seq(e, tree, cls, admissible=None):
-    """The type of e; its admissible values are found here unless given."""
-    if admissible is None:
-        admissible = _admissible(e, tree, cls)
+def _type_seq(e, tree, cls, state):
+    """The type of the node e in the avoidance state."""
     m = max(e)
     lo, hi = (0, e[-1] if cls == "i7" else m) if tree == "t1" else (1, m)
-    return (len(e) - m, sum(1 for u in admissible if lo <= u < hi))
+    return (len(e) - m, _free(state, lo, hi))
 
 
-def _step(e, u, tree, cls, admissible=None, child_admissible=None):
-    """The step that appends the admissible value u to e.  A t2 "**" step
-    ranks u among e's admissible values and a t1 "**" step types the child
-    e + (u,), each from admissible values found here unless given."""
+def _step(e, u, tree, cls, state, kid):
+    """The step that appends the admissible value u to the node e, from the
+    avoidance states of e and of e + (u,): a t2 "**" step ranks u among e's
+    admissible values, and a t1 "**" step types the child."""
     m = max(e)
     if u > m:
         return (STAR, u - m)
     if tree == "t1":
-        return (DSTAR, _type_seq(e + (u,), tree, cls, child_admissible)[1])
+        return (DSTAR, _type_seq(e + (u,), tree, cls, kid)[1])
     if u == 0:
         return (TSTAR, None)
-    if admissible is None:
-        admissible = _admissible(e, tree, cls)
-    return (DSTAR, sum(1 for v in admissible if 0 < v <= u))
+    return (DSTAR, _free(state, 1, u + 1))
+
+
+def _child(e, u, tree, cls, signs, state):
+    """(step, avoidance state, admissible values) of the child e + (u,) of
+    the node e in the avoidance state."""
+    kid = invseq._extend(state, u, signs)
+    return (_step(e, u, tree, cls, state, kid), kid,
+            invseq._allowed(kid, len(e) + 1))
 
 
 def type_invseq(e, tree, cls="i7"):
     """The type of the sequence e in the tree; t2 ignores cls."""
-    return _type_seq(_check_seq(e, tree, cls), tree, cls)
+    e, _, states = _walk(e, tree, cls)
+    return _type_seq(e, tree, cls, states[-1])
 
 
 def children_invseq(e, tree, cls="i7"):
     """All (step, child) pairs below e: appending each admissible value."""
-    e = _check_seq(e, tree, cls)
-    ext = _admissible(e, tree, cls)
-    return [(_step(e, u, tree, cls, ext), e + (u,)) for u in ext]
+    e, signs, states = _walk(e, tree, cls)
+    state = states[-1]
+    return [(_step(e, u, tree, cls, state, invseq._extend(state, u, signs)),
+             e + (u,)) for u in invseq._allowed(state, len(e))]
 
 
 def trace_of_invseq(e, tree, cls="i7"):
-    e = _check_seq(e, tree, cls)
-    return [_step(e[:j], e[j], tree, cls) for j in range(1, len(e))]
+    e, _, states = _walk(e, tree, cls)
+    return [_step(e[:j], e[j], tree, cls, states[j - 1], states[j])
+            for j in range(1, len(e))]
 
 
 def replay_invseq(trace, tree, cls="i7"):
     """Append, for each step, the one admissible value it names, searching
     from the largest value down.  The sequence carries its avoidance state
     and admissible values from step to step, as in replay_levels."""
-    e = _check_seq((0,), tree, cls)
+    e, signs, (state,) = _walk((0,), tree, cls)
     _check_size(len(trace) + 1)
-    signs, state, ext = _root_state(tree, cls)
+    ext = invseq._allowed(state, 1)
     for rule, param in trace:
         _check_param(rule, param)
         for u in reversed(ext):
-            kid = invseq._extend(state, u, signs)
-            kid_ext = invseq._allowed(kid, len(e) + 1)
-            if _step(e, u, tree, cls, ext, kid_ext) == (rule, param):
+            step, kid, kid_ext = _child(e, u, tree, cls, signs, state)
+            if step == (rule, param):
                 break
         else:
             raise ValueError(f"{tree} has no step {(rule, param)} "

@@ -151,28 +151,6 @@ def _allowed(state, m):
     return [v for v in range(m + 1) if not forbidden >> v & 1]
 
 
-def _avoiding_values(prefix, pats):
-    """Values v such that prefix + (v,) is an inversion sequence avoiding
-    the compiled patterns, given that the prefix avoids them: the
-    avoidance step folded over the prefix."""
-    signs, state = _avoidance(pats)
-    for v in prefix:
-        state = _extend(state, v, signs)
-    return _allowed(state, len(prefix))
-
-
-def _avoids(e, pats) -> bool:
-    """Does the non-empty sequence e avoid the compiled patterns?  The
-    avoidance step folded over e, refusing the first entry whose bit is set
-    in forbidden: len(e) steps, where avoids_all scans every k-subsequence."""
-    signs, state = _avoidance(pats)
-    for v in e:
-        if state[1] >> v & 1:
-            return False
-        state = _extend(state, v, signs)
-    return True
-
-
 # Longest sequences enumerate_invseq lists, with or without patterns: with
 # none it lists all n! of them, 3.6 million at the cap (about 4 s).
 LENGTH_CAP = 10

@@ -61,15 +61,11 @@ class OeisClient:
             os.replace(tmp, path)
         return pairs
 
-    def compare(self, seq_id, ours, offset=0):
-        """Compare {index: value} pairs we derived against the b-file,
-        shifting our index by offset; returns a report dict."""
-        return _compare(seq_id, self.b_file(seq_id), ours, offset)
 
-
-def _compare(seq_id, b_file, ours, offset):
-    """OeisClient.compare against the (index, value) pairs of a loaded
-    b-file."""
+def compare(seq_id, b_file, ours, offset=0):
+    """Compare {index: value} pairs we derived against the (index, value)
+    pairs of a loaded b-file, shifting our index by offset; returns a
+    report dict."""
     ref = dict(b_file)
     checked, mismatches = 0, []
     for n, v in sorted(ours.items()):

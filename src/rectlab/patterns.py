@@ -6,7 +6,6 @@ T-joint orientations, "wm+" / "wm-" for the two windmill chiralities.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 
 from .drawing import RectDrawing, _line_spans, joints_of, segments_of
@@ -101,39 +100,46 @@ def avoids_all(d: RectDrawing, patterns) -> bool:
     return True
 
 
-def _cut(boxes, a, lo, hi, across):
-    """Boxes that tile a part from line lo to line hi on axis a (0: x,
-    1: y), across long on the other axis, cut at all of its full cuts on
-    axis a at once: (start, end, boxes) per slab, or [] when it has none.
-    A line is a full cut iff the sides of the boxes that end on it add up
-    to across, so one pass over the boxes finds them all."""
-    cover = [0] * (hi - lo + 1)
-    for b in boxes:
-        cover[b[a + 2] - lo] += b[3 - a] - b[1 - a]
-    cuts = [lo + i for i, s in enumerate(cover) if s == across]  # hi last
-    if len(cuts) == 1:
-        return []
-    slabs = [[] for _ in cuts]
-    for b in boxes:
-        slabs[bisect_right(cuts, b[a])].append(b)
-    return list(zip([lo, *cuts], cuts, slabs))
-
-
 @lru_cache(maxsize=1 << 16)
 def is_guillotine(d: RectDrawing) -> bool:
-    """True iff d decomposes recursively by full cuts.  Each part is cut at
-    all of its full vertical cuts, or else at all of its full horizontal
-    ones; the parts still to cut wait on a stack, as a drawing can nest
-    one cut per rect (a staircase, peeling one rect at each cut)."""
-    parts = [(d.rects, 0, 0, d.width, d.height)]
+    """True iff d decomposes recursively by full cuts.  A part (x0, y0, x1,
+    y1) that is not one rect needs one: a line whose one segment spans the
+    part.  A vertical cut is a side of a rect on the part's bottom, and a
+    horizontal one of a rect on its left, so walks along those two sides,
+    one from each end of each side until the two meet, find a cut.  Found
+    at step j, it has at least j - 1 segments on each side (the walk from
+    the other end passed them), so each search is paid by the smaller side:
+    n log n steps in all, however deep the cuts nest.  Parts still to cut
+    wait on a stack."""
+    v, h = _line_spans(d)  # raises: an invalid drawing
+    rects = set(d.rects)
+    # walking a part's bottom east or west, or its left side north or south:
+    # a rect's corner there, (coordinate along the side, the other), to the
+    # coordinate of its next corner
+    east, west, north, south = (
+        {(r[a], r[b]): r[c] for r in d.rects}
+        for a, b, c in ((0, 1, 2), (2, 1, 0), (1, 0, 3), (3, 0, 1)))
+    parts = [(0, 0, d.width, d.height)]
     while parts:
-        boxes, x0, y0, x1, y1 = parts.pop()
-        if len(boxes) == 1:
+        part = x0, y0, x1, y1 = parts.pop()
+        if part in rects:
             continue
-        if slabs := _cut(boxes, 0, x0, x1, y1 - y0):
-            parts += [(s, lo, y0, hi, y1) for lo, hi, s in slabs]
-        elif slabs := _cut(boxes, 1, y0, y1, x1 - x0):
-            parts += [(s, x0, lo, x1, hi) for lo, hi, s in slabs]
+        e, w, n, s = x0, x1, y0, y1
+        while e < w or n < s:
+            if e < w:
+                e, w = east[e, y0], west[w, y0]
+                x = (e if e < x1 and v[e - 1][1] == y1 else
+                     w if w > x0 and v[w - 1][1] == y1 else 0)
+                if x:
+                    parts += [(x0, y0, x, y1), (x, y0, x1, y1)]
+                    break
+            if n < s:
+                n, s = north[n, x0], south[s, x0]
+                y = (n if n < y1 and h[n - 1][1] == x1 else
+                     s if s > y0 and h[s - 1][1] == x1 else 0)
+                if y:
+                    parts += [(x0, y0, x1, y), (x0, y, x1, y1)]
+                    break
         else:
             return False
     return True

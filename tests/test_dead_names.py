@@ -1,5 +1,7 @@
 """Every module-level function and constant of the package, and every
-module-level helper of the tests, has a reader."""
+module-level helper of the tests, has a reader.  A private name of the
+package needs a reader in the package, the demos or the benchmark: a helper
+that only tests read is dead code with a test."""
 
 import ast
 import re
@@ -41,16 +43,21 @@ def test_every_top_level_name_is_read_somewhere():
              for p in sorted((ROOT / "src" / "rectlab").glob("*.py"))]
     files += [(p, _found_by_pytest)
               for p in sorted((ROOT / "tests").rglob("*.py"))]
+    tests = ROOT / "tests"
     dead = []
     for path, exempt in files:
         lines = texts[path].splitlines()
         rest = "\n".join(t for p, t in texts.items() if p != path)
+        rest_of_code = "\n".join(t for p, t in texts.items()
+                                 if p != path and tests not in p.parents)
         for name, node in _definitions(path):
             if exempt(name, node):
                 continue
+            private = name.startswith("_") and tests not in path.parents
             own = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
             word = re.compile(rf"\b{re.escape(name)}\b")
-            if not (word.search(own) or word.search(rest)):
+            if not (word.search(own)
+                    or word.search(rest_of_code if private else rest)):
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not dead, dead
 

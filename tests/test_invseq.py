@@ -261,7 +261,7 @@ def test_the_avoidance_search_refuses_words_of_four_letters():
     with pytest.raises(ValueError, match="at most three letters"):
         next(invseq.enumerate_invseq(5, ("10", "0120")))
     with pytest.raises(ValueError, match="at most three letters"):
-        invseq._avoiding_values((0, 1), (invseq._pattern("0120"),))
+        invseq._avoidance((invseq._pattern("0120"),))
     assert invseq.contains_pattern((0, 1, 2, 0), "0120")
     assert not invseq.contains_pattern((0, 1, 2, 1), "0120")
     assert invseq.avoids_all((0, 0, 1, 2), ("0120", "1000"))
@@ -283,6 +283,8 @@ def _avoiding_values_by_last_entry(prefix, pats):
 
 
 def test_avoiding_values_matches_the_last_entry_scan():
+    """The values _allowed lists after the avoidance step is folded over
+    a prefix, against the values that end no occurrence."""
     sets = [("",)] + [(w,) for w in _words()]
     sets += [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")]
     sets.append(("011", "201"))
@@ -290,9 +292,11 @@ def test_avoiding_values_matches_the_last_entry_scan():
     for n in range(7):
         for e in invseq.enumerate_invseq(n):
             for pats in compiled:
-                assert invseq._avoiding_values(e, pats) == \
+                signs, state = invseq._avoidance(pats)
+                for v in e:
+                    state = invseq._extend(state, v, signs)
+                assert invseq._allowed(state, n) == \
                     _avoiding_values_by_last_entry(e, pats), (e, pats)
-
 
 
 def _random_member(rng, n, pats):
@@ -306,18 +310,36 @@ def _random_member(rng, n, pats):
     return e
 
 
+def _is_node(e, tree, cls):
+    """Does gentree's walk take e as a node of the tree?"""
+    try:
+        gentree.type_invseq(e, tree, cls)
+    except gentree.ClassError:
+        return False
+    return True
+
+
+# (tree, cls, the patterns of the tree's class); t2 ignores cls
+_TREE_CLASSES = [(t, c, invseq.CLASS_PATTERNS[c] if t == "t1"
+                  else gentree.T2_PATTERNS)
+                 for t in gentree.TREES for c in invseq.CLASS_PATTERNS]
+
+
 def test_the_avoidance_fold_agrees_with_the_subsequence_scan():
-    """_avoids against avoids_all on every sequence with n <= 7, and on
-    random 200-entry members of I(011,201) and one-entry changes of them,
-    which are mostly not members."""
-    sets = [("011", "201")]
-    sets += [invseq.CLASS_PATTERNS[c] for c in ("i6", "i7", "i8")]
-    for pats in sets:
-        compiled = tuple(map(invseq._pattern, pats))
-        for n in range(1, 8):
-            for e in invseq.enumerate_invseq(n):
-                assert invseq._avoids(e, compiled) == \
-                    invseq.avoids_all(e, pats), (e, pats)
+    """The walk that checks a tree node refuses exactly the sequences that
+    contain a pattern of the tree's class, on both trees and every class:
+    every sequence with n <= 7, and random 200-entry members of I(011,201)
+    and one-entry changes of them, which are mostly not members."""
+    def check(e):
+        avoids = {pats: invseq.avoids_all(e, pats)
+                  for pats in {pats for _, _, pats in _TREE_CLASSES}}
+        for tree, cls, pats in _TREE_CLASSES:
+            assert _is_node(e, tree, cls) == avoids[pats], (e, tree, cls)
+        return avoids[gentree.T2_PATTERNS]
+
+    for n in range(1, 8):
+        for e in invseq.enumerate_invseq(n):
+            check(e)
     t2 = tuple(map(invseq._pattern, gentree.T2_PATTERNS))
     rng = random.Random(20)
     verdicts = []
@@ -325,10 +347,26 @@ def test_the_avoidance_fold_agrees_with_the_subsequence_scan():
         e = _random_member(rng, 200, t2)
         j = rng.randrange(100, 200)
         f = e[:j] + (rng.randrange(j + 1),) + e[j + 1:]
-        for seq in (e, f):
-            verdicts.append(invseq._avoids(seq, t2))
-            assert verdicts[-1] == invseq.avoids_all(seq, gentree.T2_PATTERNS)
+        verdicts += [check(e), check(f)]
     assert verdicts[::2] == [True, True] and False in verdicts[1::2]
+
+
+def test_a_trace_takes_one_avoidance_step_per_entry(monkeypatch):
+    """trace_of_invseq walks a 200-entry node once, one avoidance step per
+    entry, where folding the step again for every prefix takes about
+    n^2 / 2 steps."""
+    calls = []
+    extend = invseq._extend
+    monkeypatch.setattr(invseq, "_extend",
+                        lambda *args: calls.append(1) or extend(*args))
+    rng = random.Random(21)
+    for tree, pats in (("t1", invseq.CLASS_PATTERNS["i7"]),
+                       ("t2", gentree.T2_PATTERNS)):
+        e = _random_member(rng, 200, tuple(map(invseq._pattern, pats)))
+        calls.clear()
+        assert len(gentree.trace_of_invseq(e, tree)) == 199
+        assert len(calls) <= 200, (tree, len(calls))
+
 
 def test_pruned_class_enumeration_matches_class_check():
     """The class sets verify enumerates by pruning are, list for list, the

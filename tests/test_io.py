@@ -50,8 +50,8 @@ def test_oeis_client_fetch_and_cache(tmp_path):
     assert client.b_file("A279555") == [(1, 1), (2, 2), (3, 5), (4, 15)]
     assert client.b_file("A279555") == [(1, 1), (2, 2), (3, 5), (4, 15)]
     assert len(calls) == 1  # second read served from cache
-    report = client.compare("A279555",
-                            {n: count_by_tree("t1", n) for n in range(1, 5)})
+    report = oeis.compare("A279555", client.b_file("A279555"),
+                          {n: count_by_tree("t1", n) for n in range(1, 5)})
     assert report["ok"] and report["checked"] == 4
 
     offline = oeis.OeisClient(cache_dir=tmp_path, offline=True)
@@ -62,7 +62,7 @@ def test_oeis_client_fetch_and_cache(tmp_path):
 
 def test_oeis_reports_mismatches(tmp_path):
     client = oeis.OeisClient(cache_dir=tmp_path, fetcher=lambda url: "1 1\n2 99\n")
-    report = client.compare("A279555", {1: 1, 2: 2})
+    report = oeis.compare("A279555", client.b_file("A279555"), {1: 1, 2: 2})
     assert not report["ok"] and report["mismatches"] == [(2, 2, 99)]
 
 

@@ -1,8 +1,10 @@
 import time
 
+import pytest
+
 from rectlab import patterns, universe
-from rectlab.drawing import (RECT_CAP, joints_of, make_drawing, reflect, segments_of,
-                             strip_drawing)
+from rectlab.drawing import (RECT_CAP, InvalidDrawing, RectDrawing, joints_of,
+                             make_drawing, reflect, segments_of, strip_drawing)
 from rectlab.patterns import (TD, TL, TR, TU, avoids_all, contains,
                               is_guillotine, occurrences)
 
@@ -116,7 +118,7 @@ def _ref_guillotine(boxes, x0, y0, x1, y1):
 
 def test_guillotine_matches_the_recursive_reference():
     refused = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for d in universe.enumerate_strong(n):
             got = is_guillotine(d)
             assert got == _ref_guillotine(d.rects, 0, 0, d.width, d.height)
@@ -148,20 +150,58 @@ def test_guillotine_cuts_a_staircase_deeper_than_the_recursion_limit(
     assert not is_guillotine(_staircase(600, pinwheel.rects, 3))
 
 
+def _best_time(d):
+    """The best time of five is_guillotine runs on the guillotine drawing
+    d."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert is_guillotine.__wrapped__(d)  # past the lru_cache
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_guillotine_cuts_a_strip_in_linear_time():
     """All the cuts of a one-row strip are found in one pass: ten times the
     rects take about ten times as long, not a hundred."""
     def best(rects):
-        d = strip_drawing(1, [0] * (rects - 1))
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            assert is_guillotine.__wrapped__(d)  # past the lru_cache
-            times.append(time.perf_counter() - start)
-        return min(times)
+        return _best_time(strip_drawing(1, [0] * (rects - 1)))
 
     ratio = best(RECT_CAP) / best(RECT_CAP // 10)
     assert ratio < 30, ratio
+
+
+def _cut_rows(k):
+    """k full-width rows, each cut once on a vertical line of its own, from
+    the middle row outwards: most of a row's vertical lines host other
+    rows' segments."""
+    xs = sorted(range(1, k + 1), key=lambda x: abs(2 * x - k - 1))
+    return make_drawing(k + 1, k, [b for y, x in enumerate(xs) for b in (
+        (0, y, x, y + 1), (x, y, k + 1, y + 1))])
+
+
+def test_guillotine_cuts_a_staircase_in_n_log_n_time():
+    """Nested cuts are found from the ends of each part, so a staircase that
+    peels one rect per cut costs no more than a strip: ten times the rects
+    take about ten times as long, not a hundred.  The search walks the rects
+    along a part's sides, not its lines, as a row cut in its middle shows."""
+    for build in (lambda rects: _staircase(rects // 2, [(0, 0, 1, 1)], 1),
+                  lambda rects: _cut_rows(rects // 2)):
+        ratio = (_best_time(build(RECT_CAP))
+                 / _best_time(build(RECT_CAP // 10)))
+        assert ratio < 30, ratio
+
+
+def test_guillotine_refuses_an_invalid_drawing_as_contains_does():
+    """is_guillotine reads the segments from the drawing kernel, so an
+    invalid literal raises on first use instead of being cut."""
+    cross = RectDrawing(2, 2, ((0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2),
+                               (1, 1, 2, 2)))
+    gap = RectDrawing(3, 1, ((0, 0, 1, 1), (2, 0, 3, 1)))
+    for d in (cross, gap):
+        for test in (lambda d: contains(d, TD), is_guillotine):
+            with pytest.raises(InvalidDrawing):
+                test(d)
 
 
 def test_td_avoiders_reach_top():
