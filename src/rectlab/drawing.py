@@ -52,10 +52,19 @@ class RectDrawing:
         return len(self.rects)
 
     def to_json(self) -> str:
-        # json.dumps of {"width", "height", "rects": lists}, byte for byte:
-        # a list of int lists prints as JSON does
-        return '{"width": %d, "height": %d, "rects": %s}' % (
-            self.width, self.height, list(map(list, self.rects)))
+        return _json_line(self.width, self.height, map(_box_json, self.rects))
+
+
+def _box_json(box) -> str:
+    return str(list(box))  # an int list prints as JSON does
+
+
+def _json_line(width, height, box_jsons) -> str:
+    """json.dumps of {"width", "height", "rects": lists}, byte for byte,
+    from the JSON of each box (_box_json): the one definition of the line
+    format, which the universe cache writes with each box formatted once."""
+    return '{"width": %d, "height": %d, "rects": [%s]}' % (
+        width, height, ", ".join(box_jsons))
 
 
 class InvalidDrawing(ValueError):

@@ -24,7 +24,8 @@ CLASS_PATTERNS = {
 
 
 def is_invseq(e) -> bool:
-    return all(0 <= v <= j for j, v in enumerate(e))
+    # type(v) is int, so that floats and bools are refused too
+    return all(type(v) is int and 0 <= v <= j for j, v in enumerate(e))
 
 
 def check_invseq(e):

@@ -377,3 +377,25 @@ def test_pruned_class_enumeration_matches_class_check():
         for cls, pats in invseq.CLASS_PATTERNS.items():
             assert list(invseq.enumerate_invseq(n, pats)) == \
                 [e for e in every if invseq.class_check(e, cls)], (n, cls)
+
+
+# entries that are not exactly ints, each at a place where its value fits
+NON_INT = [(0, 0.5), (0, 1.0), (0, True), (False,), (0, "1"), (0, 1, None)]
+
+
+def test_is_invseq_refuses_non_int_entries():
+    for e in NON_INT:
+        assert not invseq.is_invseq(e), e
+
+
+def test_check_invseq_refuses_non_int_entries():
+    for e in NON_INT:
+        with pytest.raises(ValueError, match="is not an inversion sequence"):
+            invseq.check_invseq(e)
+
+
+@pytest.mark.parametrize("tree", gentree.TREES)
+def test_type_invseq_refuses_non_int_entries(tree):
+    for e in NON_INT:
+        with pytest.raises(ValueError, match="is not an inversion sequence"):
+            gentree.type_invseq(e, tree)

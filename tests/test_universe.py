@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import random
 import tracemalloc
 from functools import cache
@@ -256,6 +258,133 @@ def test_cache_loads_the_levels_as_built(tmp_path):
             built[mode, n] = enumerate_(n, cache_dir=tmp_path)
     for (mode, n), level in built.items():
         assert universe._cache_load(tmp_path, n, mode) == level
+
+
+ENUMERATE = {"strong": universe.enumerate_strong,
+             "weak": universe.enumerate_weak}
+
+# sha256 of each cache file for n <= 7, as written before the weak level was
+# stored with its strong level and each box formatted once per level
+CACHE_SHA256 = {
+    "strong": ("b901218d0288bb393ee211fe49063de3469c669b826ab738abfdc35978a34f47",
+               "8fdb4509ed533db79bddfa886f0ca83f66820ca4d04852aeee022dda3643ccfa",
+               "5160f354f5f34a66567ce8bd316b6d1e5bafbae7492524ee8a90a440fd73f10b",
+               "5c841eb04e74d7bfdac5febdeed0d8c3e3e089aafec7a5fd6909b37e6331be2c",
+               "1ca3a45181e0b9079901d53ae2fe62ad0f904cacd7198229a778a161446879b0",
+               "5dcc4abed20f7283107ef51d08dd713da82fe72cb2da90a346be75bac62fc20d",
+               "6ea4bd96c307922db109feadc94b4d4d97ced6685b226b15db2b7c4622c5e41a"),
+    "weak": ("869a93ca64013e2ea908a3ca53b11a2a1032f81c51ac2c2d779f259a2ddaba28",
+             "ae86dcdbda3edc2b1c6c01579c9a7b4a8e865b5e3a39bdb06431d057b1801ee2",
+             "f77677a14bf6e5240b4f0cdc525d510d6f4fdd890286001f7cb06e97e1cdabb2",
+             "a9f6e32d4d366e8f06a7cb56708c0dbdd01825611cbb1e2221712dace390afd8",
+             "16e0f6f4bb4dfce1ff6b94bb4d86573d91aff63b7439f558f2534c99cd89e6a4",
+             "11123a035a17b4f34813c6603da5692e3eb518c65c8d3deed53261bb3ca26162",
+             "ee0af8af9b9d1496f5dcfb2039c5817a8f4dd71af215c09628c737c27cae6eec"),
+}
+
+
+@pytest.fixture(scope="module")
+def cache7(tmp_path_factory):
+    """A cache dir holding every level n <= 7, built into an empty dir in a
+    fixed shuffled order: weak 7 comes before strong 7, strong 5 before
+    weak 5."""
+    path = tmp_path_factory.mktemp("universe")
+    order = [(mode, n) for mode in ENUMERATE for n in range(1, 8)]
+    random.Random(26).shuffle(order)
+    for mode, n in order:
+        ENUMERATE[mode](n, cache_dir=path)
+    return path
+
+
+def test_cache_files_keep_their_bytes(cache7):
+    assert sorted(p.name for p in cache7.iterdir()) == sorted(
+        f"universe-{mode}-{n}.jsonl" for mode in ENUMERATE
+        for n in range(1, 8))
+    for mode, digests in CACHE_SHA256.items():
+        for n, want in enumerate(digests, 1):
+            path = universe._cache_path(cache7, n, mode)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want, \
+                path.name
+            body = path.read_text().splitlines(keepends=True)[1:]
+            assert body == [d.to_json() + "\n"
+                            for d in universe._cache_load(cache7, n, mode)]
+
+
+def _spy_cache(monkeypatch):
+    """(loads, stores): the (mode, n) of every cache load and store."""
+    loads, stores = [], []
+    load, store = universe._cache_load, universe._cache_store
+
+    def spy_load(cache_dir, n, mode):
+        loads.append((mode, n))
+        return load(cache_dir, n, mode)
+
+    def spy_store(cache_dir, n, mode, drawings):
+        stores.append((mode, n))
+        store(cache_dir, n, mode, drawings)
+
+    monkeypatch.setattr(universe, "_cache_load", spy_load)
+    monkeypatch.setattr(universe, "_cache_store", spy_store)
+    return loads, stores
+
+
+def test_the_weak_level_is_stored_with_its_build(tmp_path, monkeypatch):
+    loads, stores = _spy_cache(monkeypatch)
+    universe.enumerate_strong(6, cache_dir=tmp_path)
+    assert sorted(stores) == sorted(
+        (mode, n) for mode in ENUMERATE for n in range(1, 7))
+    want = universe.weak_classes(universe.enumerate_strong(6))
+    loads.clear(), stores.clear()
+    assert universe.enumerate_weak(6, cache_dir=tmp_path) == want
+    assert (loads, stores) == ([("weak", 6)], [])
+    # a damaged weak file is rebuilt from the strong level
+    path = universe._cache_path(tmp_path, 6, "weak")
+    text = path.read_text()
+    path.write_text(text[:-1])
+    loads.clear()
+    assert universe.enumerate_weak(6, cache_dir=tmp_path) == want
+    assert (loads, stores) == ([("weak", 6), ("strong", 6)], [("weak", 6)])
+    assert path.read_text() == text
+
+
+def test_a_weak_miss_writes_each_file_once(tmp_path, monkeypatch):
+    _, stores = _spy_cache(monkeypatch)
+    universe.enumerate_weak(5, cache_dir=tmp_path)
+    assert sorted(stores) == sorted(
+        (mode, n) for mode in ENUMERATE for n in range(1, 6))
+
+
+class _FullDisk(io.FileIO):
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("name, fail", [
+    ("fdopen", lambda fd, mode: _FullDisk(fd, mode)),
+    ("replace", _fail_replace)], ids=["write", "replace"])
+def test_a_failed_store_leaves_no_temp_file(tmp_path, monkeypatch, name,
+                                            fail):
+    level = universe.enumerate_strong(3)
+    monkeypatch.setattr(universe.os, name, fail)
+    with pytest.raises(OSError, match="No space left"):
+        universe._cache_store(tmp_path, 3, "strong", level)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.slow
+def test_level_8_stores_the_weak_level_of_its_build(tmp_path):
+    universe.enumerate_strong(8, max_n=8, cache_dir=tmp_path)
+    path = universe._cache_path(tmp_path, 8, "weak")
+    body = path.read_text().splitlines(keepends=True)[1:]
+    strong = universe._cache_load(tmp_path, 8, "strong")
+    assert len(strong) == 26194
+    assert body == [d.to_json() + "\n"
+                    for d in universe.weak_classes(strong)]
 
 
 def _traced_peak(build):
