@@ -72,22 +72,34 @@ class InvalidDrawing(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# The drawing kernel.  _check is the one validity check: bulk operations
-# over the box columns test the bounds, the cover and the crossings (two
-# corner sets) and one segment per line (a sweep of the sides sorted by
-# line), and a failed test names its violations from the data it holds.
-# The four diagonal orders follow from the cover: the NW-SE positions come
-# from the same sweep, and order_labels derives the others from the stored
-# NW-SE order.  _analyse adds the relation matrix,
-# and make_drawing keeps (relations in NW-SE indices, segment spans) as the
-# kernel of the drawing it returns, which relations_of, segments_of,
-# joints_of, heap_order, order_labels, l_labels, canonical_drawing,
-# patterns (T joints, windmills) and gentree (spans by line index) read.
-# Any other drawing gets its kernel on first use, after the same checks
-# (_kernel).  The generating trees grow bare box lists between drawings:
-# they take each line's span from _line_sides and leave the lines where
-# their steps put them; canonical_drawing lays out the drawing a replay
-# returns.
+# The drawing kernel.  _check is the one validity check.  On valid boxes
+# it makes one pass of bulk tests over the box columns: the bounds, the
+# cover and the crossings (two corner sets), and one segment per line (the
+# ends of the sides on each line).  It sweeps only the masks the NW-SE
+# positions read: the rects left of each vertical line and above each
+# horizontal one.  After a failed test, _violations names the violations
+# from the boxes alone.  The four diagonal orders follow from the cover:
+# the NW-SE positions come from the sweep, and order_labels derives the
+# others from the stored NW-SE order.  _analyse adds the relation matrix,
+# from one more sweep of the vertical sides with NW-SE bits, and
+# make_drawing keeps (relations in NW-SE indices, spans by family) as the
+# kernel of the drawing it returns, which relations_of, _line_spans,
+# segments_of, joints_of, heap_order, order_labels, l_labels,
+# canonical_drawing, patterns (T joints, windmills) and gentree (spans by
+# line index) read.  Any other drawing gets its kernel on first use, after
+# the same checks (_kernel).
+#
+# A share table is a dict kept across calls; the universe keeps one per
+# level.  It holds the relation rows by (m, p), the left-or-right mask with
+# top bit 1 << n and the NW-SE position, which determine the row, and every
+# other value it shares by itself: boxes, (lo, hi) span pairs, the span
+# tuple of a family, contact triples.  Equal values become one object, and
+# each distinct row is formatted once.  A row's key has m > p and a span
+# pair lo < hi, so the two never meet.
+#
+# The generating trees grow bare box lists between drawings: they take
+# each line's span from _line_sides and leave the lines where their steps
+# put them; canonical_drawing lays out the drawing a replay returns.
 
 
 def _merge_runs(intervals):
@@ -124,26 +136,6 @@ _BEFORE = str.maketrans("01", "BR")
 _AFTER = str.maketrans("01", "AL")
 
 
-def _sweep(sides, bits, size):
-    """(fwd, back, lo, hi) over one family of lines, from sides, sorted:
-    (far, lo, hi, near, i) for each rect i, its far side on line far and
-    its near side on line near.  fwd[c] / back[c] is the mask of the rects
-    beyond line c across it, forwards / backwards, with rect i's bit
-    bits[i]; lo[c] is the start of the lowest far side on line c and hi[c]
-    the end of the highest one, 0 on a line with none.  Sorted by far line,
-    each rect comes after those that end where it starts, so one pass each
-    way closes the masks."""
-    fwd, back = [0] * (size + 1), [0] * (size + 1)
-    lo, hi = [0] * (size + 1), [0] * (size + 1)
-    for far, start, _, near, i in reversed(sides):
-        fwd[near] |= bits[i] | fwd[far]
-        lo[far] = start
-    for far, _, end, near, i in sides:
-        back[far] |= bits[i] | back[near]
-        hi[far] = end
-    return fwd, back, lo, hi
-
-
 # How many violations an error names before it counts the rest.
 _NAMED_VIOLATIONS = 5
 
@@ -164,10 +156,11 @@ def _invalid(violations):
 
 
 def _line_violations(sides, size, name):
-    """The interior lines, from sides sorted as _sweep takes them, that host
-    other than one segment.  In an exact cover the far sides on a line do
-    not overlap and cover the points its near sides cover, so the runs of
-    the far sides are the line's segments."""
+    """The interior lines that host other than one segment, from sides
+    sorted as (far, lo, hi, near, i): rect i's far side on line far, from
+    lo to hi, and its near side on line near.  In an exact cover the far
+    sides on a line do not overlap and cover the points its near sides
+    cover, so the runs of the far sides are the line's segments."""
     runs, end = Counter(), None
     for far, start, stop, _, _ in sides:
         if (far, start) != end:
@@ -179,66 +172,48 @@ def _line_violations(sides, size, name):
 
 def _check(width, height, boxes):
     """(pos, vsides, spans) of valid boxes: NW-SE positions, the vertical
-    sides sorted for _sweep, and lo, hi of the segment on each interior
-    line, verticals by x then horizontals by y.  Else raises _invalid: a
-    wrong rect count, then the first failure among the bounds, a box too
-    big for the count, the cover, and the lines with the cross joints.
-    The NW-SE order follows from the cover, so it needs no test."""
+    sides sorted as _line_violations takes them, and ((lo, hi) of the
+    segment on each vertical line x = 1..W-1, the same per y).  Else raises
+    _invalid with the violations _violations names.  The NW-SE order
+    follows from the cover, so it needs no test."""
     if width < 1 or height < 1:
         raise _invalid(["bounding box must have positive width and height"])
     n = len(boxes)
-    found = []
+    # A wrong count leaves the box unbounded by n; the right one bounds the
+    # sweeps below.  _violations gives the reasons for the corner test.
     if n != width + height - 1:
-        found.append(f"{n} rects cannot fill a {width}x{height} box "
-                     f"one segment per line (need {width + height - 1})")
-    X0, Y0, X1, Y1 = zip(*boxes) if boxes else ((),) * 4
-    if (min(X0, default=0) < 0 or min(Y0, default=0) < 0
-            or max(X1, default=0) > width or max(Y1, default=0) > height
-            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))):
-        bad = next(b for b in boxes if not (0 <= b[0] < b[2] <= width
-                                            and 0 <= b[1] < b[3] <= height))
-        raise _invalid(found + [f"rect {bad} outside box or degenerate"])
-    # A box's indicator is the signed sum of the quadrants at its corners,
-    # which are linearly independent, so the boxes tile the box iff SW + NE
-    # corners and (W,0), (0,H) equal SE + NW corners and (0,0), (W,H) as
-    # multisets.  A tiling has no two equal SW or NE corners, and a SW on a
-    # NE corner is a cross joint: as sets of 2n + 2 points, the two sides
-    # test the cover and the crossings at once.
-    plus = [*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)]
-    minus = [*zip(X1, Y0), *zip(X0, Y1), (0, 0), (width, height)]
-    corner_set = set(plus)
-    corners = len(corner_set) == 2 * n + 2 and corner_set == set(minus)
-    cells = width * height
-    # Only a wrong rect count lets the box be huge (W + H = n + 1 bounds
-    # W * H by (n + 1)^2 / 4), and its lines would take as long as it is wide.
-    huge = 4 * cells > (n + 1) ** 2
-    if huge or not corners and Counter(plus) != Counter(minus):
-        area = sum(map(mul, map(sub, X1, X0), map(sub, Y1, Y0)))
-        if area != cells or not huge:
-            more = "" if area != cells else ", some more than once"
-            found.append("union != bounding box or rects overlap "
-                         f"({area} cells covered of {cells}{more})")
-        raise _invalid(found)
-    del plus, minus, corner_set  # the sides below take as much again
+        raise _invalid(_violations(width, height, boxes))
+    X0, Y0, X1, Y1 = zip(*boxes)
+    plus = {*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)}
+    if (min(X0) < 0 or min(Y0) < 0 or max(X1) > width or max(Y1) > height
+            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))
+            or len(plus) != 2 * n + 2
+            or plus != {*zip(X1, Y0), *zip(X0, Y1), (0, 0), (width, height)}):
+        raise _invalid(_violations(width, height, boxes))
+    # Sorted by far line, each rect comes after those that end where it
+    # starts, so one pass closes the masks: left[x] is the rects left of
+    # line x, above[y] those above line y, bit i for rect i.  lo[c] is the
+    # start of the lowest far side on line c and hi[c] the end of the
+    # highest; line c hosts one segment iff its far sides fill lo..hi.
     vsides = sorted(zip(X1, Y0, Y1, X0, range(n)))
     hsides = sorted(zip(Y1, X0, X1, Y0, range(n)))
-    # The sweep's arrays are W + H long, which a wrong count leaves unbounded
-    # by n, so a crossing or a bad line, one of them certain, is named then
-    # without it.  A line hosts one segment iff its sides fill lo..hi.
-    lines = False
-    if corners and not found:
-        bits = [1 << i for i in range(n)]
-        _, lmask, vlo, vhi = _sweep(vsides, bits, width)
-        amask, _, hlo, hhi = _sweep(hsides, bits, height)
-        lines = (len(set(X1)) == width and len(set(Y1)) == height
-                 and sum(Y1) - sum(Y0) == sum(vhi) - sum(vlo)
-                 and sum(X1) - sum(X0) == sum(hhi) - sum(hlo))
-    if not lines:
-        crosses = sorted(set(zip(X0, Y0)).intersection(zip(X1, Y1)))
-        raise _invalid(chain(
-            found, _line_violations(vsides, width, "x"),
-            _line_violations(hsides, height, "y"),
-            (f"cross joint at ({x},{y})" for x, y in crosses)))
+    left, vlo, vhi = [0] * (width + 1), [0] * (width + 1), [0] * (width + 1)
+    above, hlo, hhi = ([0] * (height + 1), [0] * (height + 1),
+                       [0] * (height + 1))
+    for far, start, _, _, _ in reversed(vsides):
+        vlo[far] = start
+    for far, _, end, near, i in vsides:
+        left[far] |= 1 << i | left[near]
+        vhi[far] = end
+    for far, start, _, near, i in reversed(hsides):
+        above[near] |= 1 << i | above[far]
+        hlo[far] = start
+    for far, _, end, _, _ in hsides:
+        hhi[far] = end
+    if not (len(set(X1)) == width and len(set(Y1)) == height
+            and sum(Y1) - sum(Y0) == sum(vhi) - sum(vlo)
+            and sum(X1) - sum(X0) == sum(hhi) - sum(hlo)):
+        raise _invalid(_violations(width, height, boxes))
     # No endpoint check: take the top end (x, hi) of the segment on line x,
     # hi < H.  No side of line x lies just above hi, so a rect spans x there;
     # it cannot reach below hi, where line x parts two rects, so its bottom
@@ -256,27 +231,94 @@ def _check(width, height, boxes):
     # NW-SE order (Asinowski et al. 2013), so pos runs over 0..n-1, and
     # _analyse already writes "B" or "A" for every rect outside a row's
     # left-or-right mask.  The test reference checks both facts.
-    pos = list(map(add, map(int.bit_count, map(lmask.__getitem__, X0)),
-                   map(int.bit_count, map(amask.__getitem__, Y1))))
-    spans = (*chain.from_iterable(zip(vlo[1:width], vhi[1:width])),
-             *chain.from_iterable(zip(hlo[1:height], hhi[1:height])))
-    return pos, vsides, spans
+    pos = list(map(add, map(int.bit_count, map(left.__getitem__, X0)),
+                   map(int.bit_count, map(above.__getitem__, Y1))))
+    return pos, vsides, (tuple(zip(vlo[1:width], vhi[1:width])),
+                         tuple(zip(hlo[1:height], hhi[1:height])))
 
 
-def _analyse(width, height, boxes):
-    """(pos, relations in NW-SE indices, spans) of valid boxes (_check).  A
-    rect before rect i in NW-SE order is left of or above it, one after it
-    right of or below it: the x-masks swept with NW-SE bits give each row."""
-    pos, vsides, spans = _check(width, height, boxes)
-    n = len(pos)
-    rmask, lmask = _sweep(vsides, [1 << p for p in pos], width)[:2]
-    top = 1 << n
-    rows = [None] * n
-    for x1, _, _, x0, i in vsides:
+def _violations(width, height, boxes):
+    """The violations of boxes that fail _check: a wrong rect count, then
+    the first failure among the bounds, a box too big for the count, the
+    cover, and the lines with the cross joints."""
+    n = len(boxes)
+    found = []
+    if n != width + height - 1:
+        found.append(f"{n} rects cannot fill a {width}x{height} box "
+                     f"one segment per line (need {width + height - 1})")
+    X0, Y0, X1, Y1 = zip(*boxes) if boxes else ((),) * 4
+    if (min(X0, default=0) < 0 or min(Y0, default=0) < 0
+            or max(X1, default=0) > width or max(Y1, default=0) > height
+            or not all(map(lt, X0, X1)) or not all(map(lt, Y0, Y1))):
+        bad = next(b for b in boxes if not (0 <= b[0] < b[2] <= width
+                                            and 0 <= b[1] < b[3] <= height))
+        return found + [f"rect {bad} outside box or degenerate"]
+    # A box's indicator is the signed sum of the quadrants at its corners,
+    # which are linearly independent, so the boxes tile the box iff SW + NE
+    # corners and (W,0), (0,H) equal SE + NW corners and (0,0), (W,H) as
+    # multisets.  A tiling has no two equal SW or NE corners, and a SW on a
+    # NE corner is a cross joint: as sets of 2n + 2 points, the two sides
+    # test the cover and the crossings at once (_check's corner test).
+    plus = [*zip(X0, Y0), *zip(X1, Y1), (width, 0), (0, height)]
+    minus = [*zip(X1, Y0), *zip(X0, Y1), (0, 0), (width, height)]
+    cells = width * height
+    # Only a wrong rect count lets the box be huge (W + H = n + 1 bounds
+    # W * H by (n + 1)^2 / 4), and its lines would take as long as it is wide.
+    huge = 4 * cells > (n + 1) ** 2
+    if huge or Counter(plus) != Counter(minus):
+        area = sum(map(mul, map(sub, X1, X0), map(sub, Y1, Y0)))
+        if area != cells or not huge:
+            more = "" if area != cells else ", some more than once"
+            found.append("union != bounding box or rects overlap "
+                         f"({area} cells covered of {cells}{more})")
+        return found
+    del plus, minus  # the sides below take as much again
+    # An exact cover that _check refused has a wrong count, a cross joint
+    # or a line with other than one segment: a crossing or a bad line, one
+    # of them certain, is named then.
+    crosses = sorted(set(zip(X0, Y0)).intersection(zip(X1, Y1)))
+    return chain(
+        found,
+        _line_violations(sorted(zip(X1, Y0, Y1, X0, range(n))), width, "x"),
+        _line_violations(sorted(zip(Y1, X0, X1, Y0, range(n))), height, "y"),
+        (f"cross joint at ({x},{y})" for x, y in crosses))
+
+
+def _analyse(width, height, boxes, shared):
+    """(pos, relations in NW-SE indices, spans) of valid boxes (_check),
+    the rows and the span tuples taken from the share table shared.  A rect
+    before rect i in NW-SE order is left of or above it, one after it right
+    of or below it: the x-masks swept with NW-SE bits give each row."""
+    pos, vsides, (v, h) = _check(width, height, boxes)
+    top = 1 << len(pos)
+    bits = [1 << p for p in pos]
+    right, left = [0] * (width + 1), [0] * (width + 1)
+    for far, _, _, near, i in reversed(vsides):
+        right[near] |= bits[i] | right[far]
+    # left[near] is closed once the sides on line near have passed.  The
+    # key, a row's left-or-right mask with top bit 1 << n and its position
+    # p, determines the row.
+    rows = [None] * len(pos)
+    get = shared.get
+    for far, _, _, near, i in vsides:
+        left[far] |= bits[i] | left[near]
         p = pos[i]
-        s = format(rmask[x1] | lmask[x0] | top, "b")[::-1]
-        rows[p] = s[:p].translate(_BEFORE) + "." + s[p + 1:n].translate(_AFTER)
-    return pos, tuple(rows), spans
+        mask = right[far] | left[near] | top
+        row = get((mask, p))
+        if row is None:
+            s = format(mask, "b")[::-1]
+            row = shared[mask, p] = (s[:p].translate(_BEFORE) + "."
+                                     + s[p + 1:-1].translate(_AFTER))
+        rows[p] = row
+    return pos, tuple(rows), _shared_spans(shared, v, h)
+
+
+def _shared_spans(shared, v, h):
+    """The spans (v, h), each (lo, hi) pair and each family's tuple taken
+    from the share table shared."""
+    share = shared.setdefault
+    v, h = tuple(map(share, v, v)), tuple(map(share, h, h))
+    return share(v, v), share(h, h)
 
 
 def _with_kernel(d, rel, spans):
@@ -284,28 +326,24 @@ def _with_kernel(d, rel, spans):
     return d
 
 
-def _kernel(d):
+def _kernel(d, shared=None):
     """(relations, spans) of d; a drawing that make_drawing did not build is
-    checked first and raises InvalidDrawing if it is not valid."""
+    checked first and raises InvalidDrawing if it is not valid.  Its rows
+    and spans then come from shared, a share table kept across calls, else
+    from one local to the call."""
     if d._kernel is None:
-        pos, rel, spans = _analyse(d.width, d.height, d.rects)
+        pos, rel, spans = _analyse(d.width, d.height, d.rects,
+                                   {} if shared is None else shared)
         if pos != list(range(len(pos))):
             raise InvalidDrawing("rects not listed in NW-SE order")
         _with_kernel(d, rel, spans)
     return d._kernel
 
 
-def _split_spans(width, spans):
-    """([(lo, hi) per vertical line x = 1..W-1], [the same per y]) from
-    spans laid out as in the kernel."""
-    it = iter(spans)
-    pairs = list(zip(it, it))
-    return pairs[:width - 1], pairs[width - 1:]
-
-
 def _line_spans(d):
-    """([(lo, hi) per vertical line x = 1..W-1], [the same per y])."""
-    return _split_spans(d.width, _kernel(d)[1])
+    """([(lo, hi) per vertical line x = 1..W-1], [the same per y]), one
+    object per drawing."""
+    return _kernel(d)[1]
 
 
 def validate(d: RectDrawing) -> list[str]:
@@ -320,16 +358,20 @@ def validate(d: RectDrawing) -> list[str]:
     return []
 
 
-def make_drawing(width: int, height: int, boxes) -> RectDrawing:
+def make_drawing(width: int, height: int, boxes,
+                 shared=None) -> RectDrawing:
     """Build a drawing from unordered boxes, sorting them into NW-SE order;
-    raises InvalidDrawing listing the violations as validate does."""
-    return make_drawing_with_perm(width, height, boxes)[0]
+    raises InvalidDrawing listing the violations as validate does.  Its
+    rows and span tuples come from shared, a share table kept across calls
+    (see the kernel notes), else from one local to the call."""
+    return make_drawing_with_perm(width, height, boxes, shared)[0]
 
 
-def make_drawing_with_perm(width, height, boxes):
+def make_drawing_with_perm(width, height, boxes, shared=None):
     """Like make_drawing; also returns perm with perm[i] = new index of boxes[i]."""
     boxes = [tuple(b) for b in boxes]
-    pos, rel, spans = _analyse(width, height, boxes)
+    pos, rel, spans = _analyse(width, height, boxes,
+                               {} if shared is None else shared)
     ordered = [None] * len(boxes)
     for i, p in enumerate(pos):
         ordered[p] = boxes[i]
@@ -516,29 +558,30 @@ def _extension(runs, prefer):
     return out
 
 
-def canonical_drawing(d: RectDrawing) -> RectDrawing:
+def canonical_drawing(d: RectDrawing, shared=None) -> RectDrawing:
     """Redraw so line positions equal their ranks in the heap-order
     extensions: horizontals bottom-to-top by the left-most extension,
     verticals left-to-right by the lowest-first extension.  The rects keep
-    their order, and the strong key is unchanged."""
-    rel, spans = _kernel(d)
-    v, h = _split_spans(d.width, spans)
+    their order, and the strong key is unchanged.  The new boxes and span
+    tuples go through shared, a share table kept across calls, if given."""
+    rel, (v, h) = _kernel(d)
     xr, yr = _extension_ranks(v), _extension_ranks(h)
     boxes = tuple([(xr[x0], yr[y0], xr[x1], yr[y1])
                    for x0, y0, x1, y1 in d.rects])
     if boxes == d.rects:
         return d
-    out = [0] * len(spans)
+    nv, nh = [None] * len(v), [None] * len(h)
     for x, (lo, hi) in enumerate(v, 1):
-        k = 2 * (xr[x] - 1)
-        out[k], out[k + 1] = yr[lo], yr[hi]
+        nv[xr[x] - 1] = yr[lo], yr[hi]
     for y, (lo, hi) in enumerate(h, 1):
-        k = 2 * (len(v) + yr[y] - 1)
-        out[k], out[k + 1] = xr[lo], xr[hi]
+        nh[yr[y] - 1] = xr[lo], xr[hi]
+    spans = tuple(nv), tuple(nh)
+    if shared is not None:
+        boxes = tuple(map(shared.setdefault, boxes, boxes))
+        spans = _shared_spans(shared, *spans)
     # Every segment keeps its neighbours on renamed lines, so the relations,
     # and with them the NW-SE order of the rects, stay as they are.
-    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel,
-                        tuple(out))
+    return _with_kernel(RectDrawing(d.width, d.height, boxes), rel, spans)
 
 
 def contacts_of(d: RectDrawing):
@@ -658,7 +701,6 @@ def strip_drawing(height: int, rows) -> RectDrawing:
             rel.append("B" * above + "R" * t + "." + "L" * (k - 1 - t)
                        + "A" * below)
         above += k
-    spans = (*chain.from_iterable((r, r + 1) for r in rows),
-             *(0, width) * (height - 1))
+    spans = tuple((r, r + 1) for r in rows), ((0, width),) * (height - 1)
     return _with_kernel(RectDrawing(width, height, tuple(rects)), tuple(rel),
                         spans)

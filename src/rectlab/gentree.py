@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import invseq
 from .drawing import (InvalidDrawing, RectDrawing, _brief, _json_loads,
-                      _kernel, _line_sides, _merge_runs, _split_spans,
+                      _kernel, _line_sides, _merge_runs,
                       canonical_drawing, make_drawing_with_perm,
                       ne_rect_index)
 from .patterns import contains
@@ -100,14 +100,15 @@ def _check_param(rule, param):
 
 class _Boxes(NamedTuple):
     """The rects of a drawing, in any order, with its box and the spans of
-    its segments laid out as in the drawing kernel."""
+    its segments as the drawing kernel keeps them: ([(lo, hi) per vertical
+    line x = 1..W-1], [the same per y])."""
     width: int
     height: int
     rects: tuple
     spans: tuple
 
 
-_ROOT = _Boxes(1, 1, ((0, 0, 1, 1),), ())
+_ROOT = _Boxes(1, 1, ((0, 0, 1, 1),), ((), ()))
 
 
 def _view(d):
@@ -119,16 +120,12 @@ def _with_spans(width, height, boxes):
     """The boxes, in their order and on their lines, with the span of the
     one segment on each interior line."""
     boxes = tuple(boxes)
-    runs = [_merge_runs(line) for lines in _line_sides(width, height, boxes)
-            for line in lines[1:-1]]
-    _require(all(len(r) == 1 for r in runs),
+    runs = [[_merge_runs(line) for line in lines[1:-1]]
+            for lines in _line_sides(width, height, boxes)]
+    _require(all(len(r) == 1 for family in runs for r in family),
              "a line hosts more than one segment")
-    return _Boxes(width, height, boxes, tuple(v for r in runs for v in r[0]))
-
-
-def _lines(g):
-    """([(lo, hi) per vertical line x = 1..W-1], [the same per y])."""
-    return _split_spans(g.width, g.spans)
+    return _Boxes(width, height, boxes,
+                  tuple(tuple(r[0] for r in family) for family in runs))
 
 
 def _e_rects_top_down(d):
@@ -144,14 +141,14 @@ def _n_rects_left_right(d):
 def _left_neighbor_lines(g, x, y_lo, y_hi):
     """Lines of horizontal segments whose right endpoint sits on the open
     part of the vertical line x between y_lo and y_hi."""
-    h = _lines(g)[1]
+    h = g.spans[1]
     return [y for y in range(y_lo + 1, y_hi) if h[y - 1][1] == x]
 
 
 def _active_td_joints(g):
     """Active top-joint positions (vertical top ends inside a horizontal
     that reaches the right side), ordered right to left."""
-    v, h = _lines(g)
+    v, h = g.spans
     return [(x, hi) for x, (_, hi) in enumerate(v, 1)
             if hi < g.height and h[hi - 1][1] == g.width][::-1]
 
@@ -189,7 +186,7 @@ def _t1_delete(d):
     """Remove the NE rectangle; returns (the parent's boxes, step)."""
     ne = ne_rect_index(d)
     x0, y0, _, _ = d.rects[ne]
-    v, h = _lines(d)
+    v, h = d.spans
     star = y0 == 0 or (x0 > 0 and v[x0 - 1][0] == y0)
     if star:
         lefts = [i for i, b in enumerate(d.rects) if b[2] == x0]
@@ -306,7 +303,7 @@ def _t2_delete(d):
 def _td_joints_on(d, y, x_left):
     """Number of vertical segments whose top endpoint lies strictly inside
     the horizontal segment at line y (which spans [x_left, W])."""
-    v = _lines(d)[0]
+    v = d.spans[0]
     return sum(1 for x in range(x_left + 1, d.width) if v[x - 1][1] == y)
 
 

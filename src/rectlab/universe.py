@@ -46,7 +46,7 @@ from pathlib import Path
 from . import patterns
 from .drawing import InvalidDrawing  # noqa: F401 (re-exported)
 from .drawing import (RectDrawing, _box_json, _forced_before, _json_line,
-                      _kernel, _line_spans, _with_kernel, canonical_drawing,
+                      _kernel, canonical_drawing, contacts_of,
                       make_drawing, size1, strip_drawing, strong_key,
                       weak_key)
 
@@ -102,39 +102,36 @@ def _transpose(boxes):
 
 def _children(p, shared=None):
     """The drawings whose parent is p: its left insertions, then its bottom
-    insertions.  shared, a dict kept across calls, is the level's share
-    table: equal boxes become one tuple."""
-    share = ({} if shared is None else shared).setdefault
-    v, h = _line_spans(p)
+    insertions.  shared, a share table kept across calls (see the kernel
+    notes in drawing), serves every child, and the first-use analysis of
+    p when p comes from the cache; without it, the call keeps its own.  A
+    build passes its level's table."""
+    shared = {} if shared is None else shared
+    share = shared.setdefault
+    v, h = _kernel(p, shared)[1]
     for boxes in _left_insertions(p.width, p.height, p.rects, v):
         yield make_drawing(p.width + 1, p.height,
-                           [share(b, b) for b in boxes])
+                           [share(b, b) for b in boxes], shared)
     for boxes in _left_insertions(p.height, p.width, _transpose(p.rects), h):
         yield make_drawing(p.width, p.height + 1,
-                           [share(b, b) for b in _transpose(boxes)])
+                           [share(b, b) for b in _transpose(boxes)], shared)
 
 
 def _next_level(parents):
     """The canonical drawings of the children of parents, sorted by key; a
     class built twice raises.  One share table serves the whole level, so
-    that equal boxes, relation rows and key contact triples are one object
-    each: level 8's 26,194 drawings hold 275 box tuples and 1,024 rows."""
+    that equal boxes, relation rows, span tuples and key contact triples
+    are one object each, and each distinct row is formatted once: level
+    8's 26,194 drawings hold 275 box tuples and 1,024 rows."""
     reps, shared = {}, {}
     share = shared.setdefault
     for p in parents:
         for c in _children(p, shared):
-            # keyed by the canonical drawing, which is kept anyway, so that
-            # the relations_of memo holds no other drawing.  Its rows, and
-            # the boxes canonical_drawing made anew, go through the share
-            # table before relations_of memoizes the rows' tuple.
-            d = canonical_drawing(c)
-            rel, spans = _kernel(d)
-            if d is not c:
-                d = RectDrawing(d.width, d.height,
-                                tuple(map(share, d.rects, d.rects)))
-            _with_kernel(d, tuple(map(share, rel, rel)), spans)
-            rows, contacts = strong_key(d)
-            key = rows, tuple(map(share, contacts, contacts))
+            d = canonical_drawing(c, shared)
+            # the key's rows come from the kernel, not through relations_of,
+            # whose memo would hash every child once more
+            contacts = contacts_of(d)
+            key = _kernel(d)[0], tuple(map(share, contacts, contacts))
             if key in reps:
                 raise RuntimeError(f"a strong class was built twice: "
                                    f"{d.to_json()}")

@@ -1,7 +1,7 @@
-"""Every module-level function and constant of the package, and every
-module-level helper of the tests, has a reader.  A private name of the
-package needs a reader in the package, the demos or the benchmark: a helper
-that only tests read is dead code with a test."""
+"""Every module-level function, class and constant of the package, and
+every module-level helper of the tests, has a reader.  A private name of
+the package needs a reader in the package, the demos or the benchmark: a
+helper that only tests read is dead code with a test."""
 
 import ast
 import re
@@ -12,10 +12,10 @@ SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def _definitions(path):
-    """(name, node) of each module-level function and constant of the file;
-    dunder names such as __version__ are left out."""
+    """(name, node) of each module-level function, class and constant of
+    the file; dunder names such as __version__ are left out."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]

@@ -683,21 +683,23 @@ def _ref_analyse(width, height, boxes):
     pos = _ref_order_positions(rel, "nw-se")
     inv = sorted(range(len(pos)), key=pos.__getitem__)
     rows = tuple("".join(rel[i][j] for j in inv) for i in inv)
-    spans = tuple(v for s in _ref_segments_of(d) for v in (s.lo, s.hi))
+    segments = _ref_segments_of(d)
+    spans = tuple(tuple((s.lo, s.hi) for s in segments if s.orientation == o)
+                  for o in "vh")
     return pos, rows, spans
 
 
-def _analysis(analyse, width, height, boxes):
+def _analysis(analyse, *args):
     """(pos, rows, spans), or the message of the InvalidDrawing raised."""
     try:
-        return analyse(width, height, boxes)
+        return analyse(*args)
     except InvalidDrawing as exc:
         return str(exc)
 
 
 def _assert_same_analysis(width, height, boxes):
     want = _analysis(_ref_analyse, width, height, boxes)
-    assert _analysis(drawing._analyse, width, height, boxes) == want, \
+    assert _analysis(drawing._analyse, width, height, boxes, {}) == want, \
         (width, height, boxes)
     return not isinstance(want, str)
 
@@ -707,9 +709,9 @@ def _analysed(monkeypatch, build):
     seen = []
     real = drawing._analyse
 
-    def spy(width, height, boxes):
+    def spy(width, height, boxes, shared):
         seen.append((width, height, list(boxes)))
-        return real(width, height, boxes)
+        return real(width, height, boxes, shared)
 
     monkeypatch.setattr(drawing, "_analyse", spy)
     build()
@@ -725,6 +727,28 @@ def test_bulk_pass_matches_the_checks_on_every_child(ctx, monkeypatch):
         universe._next_level(level) for level in levels])
     assert len(children) == 4728  # the classes of sizes 2..7
     assert all(_assert_same_analysis(*c) for c in children)
+
+
+def test_one_share_table_gives_each_level_its_rows(ctx):
+    """A row's key carries n in its top bit, so one table can serve every
+    size: each drawing gets the rows that a fresh analysis gives it."""
+    shared = {}
+    for n in range(1, 8):
+        for d in ctx.strong(n):
+            args = d.width, d.height, d.rects
+            assert (drawing._analyse(*args, shared)
+                    == drawing._analyse(*args, {})), d
+
+
+def test_line_spans_are_split_once_per_drawing(ctx, pinwheel):
+    redrawn = make_drawing(3, 3, [(0, 0, 1, 2), (0, 2, 1, 3), (1, 0, 2, 3),
+                                  (2, 0, 3, 1), (2, 1, 3, 3)])
+    drawings = [pinwheel, RectDrawing(3, 3, pinwheel.rects), redrawn,
+                canonical_drawing(redrawn), drawing.strip_drawing(3, [2, 0]),
+                *ctx.strong(5)]
+    assert canonical_drawing(redrawn) is not redrawn
+    for d in drawings:
+        assert drawing._line_spans(d) is drawing._line_spans(d)
 
 
 def _strip_boxes(height, rows):

@@ -181,6 +181,13 @@ def test_a_class_built_twice_raises(monkeypatch):
         universe.enumerate_strong(3)
 
 
+def test_a_level_build_leaves_the_relations_memo_alone():
+    level = universe.enumerate_strong(6)
+    before = relations_of.cache_info()
+    universe._next_level(level)
+    assert relations_of.cache_info() == before
+
+
 def test_class_counts(v2):
     assert universe.count_class(3, "weak", ("td",)) == 5
     assert universe.count_class(4, "weak", ("td", "tu")) == 8
@@ -408,6 +415,18 @@ def test_a_level_holds_one_copy_of_each_row_and_box(tmp_path):
     for level in (built, loaded):
         boxes = [b for d in level for b in d.rects]
         assert len(set(map(id, boxes))) == len(set(boxes))
+
+
+def test_parents_loaded_from_the_cache_share_the_level_table(tmp_path):
+    universe.enumerate_strong(6, cache_dir=tmp_path)
+    parents = universe._cache_load(tmp_path, 6, "strong")
+    shared = {}
+    for p in parents:
+        list(universe._children(p, shared))
+    rows = [r for p in parents for r in _kernel(p)[0]]
+    spans = [s for p in parents for v in _kernel(p)[1] for s in v]
+    assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
+    assert len(set(map(id, spans))) == len(set(spans)) < len(spans)
 
 
 def test_level_7_builds_in_a_few_megabytes():
