@@ -309,14 +309,14 @@ def tau7(d: RectDrawing):
     side is on it, which stack without gaps: bisecting their bottoms, sorted
     once per line, finds the one that a corner touches."""
     _check_rect(d, "t1")
-    e = list(tau(d, check=False))
-    pos = {r: p for p, r in enumerate(order_labels(d, "sw-ne"))}
+    labels = l_labels(d)
     bottoms = [[] for _ in range(d.width + 1)]  # by right side
     for _, y0, x1, _ in sorted(d.rects, key=itemgetter(1)):
         bottoms[x1].append(y0)
-    for r, (x0, y0, _, _) in enumerate(d.rects):
-        if x0:
-            e[pos[r]] -= bisect_right(bottoms[x0], y0) - 1
+    e = []
+    for r in order_labels(d, "sw-ne"):
+        x0, y0, _, _ = d.rects[r]
+        e.append(labels[r] - (bisect_right(bottoms[x0], y0) - 1 if x0 else 0))
     return tuple(e)
 
 
@@ -348,7 +348,11 @@ def lambda_labels(d: RectDrawing):
     """(per-line, per-rect) counts of rectangles lying lower; computed on the
     canonical drawing, where the count below line y is simply the number of
     rects whose top is at height <= y."""
-    d = canonical_drawing(d)
+    return _lambda_labels(canonical_drawing(d))
+
+
+def _lambda_labels(d):
+    """lambda_labels of the canonical drawing d."""
     tops = [0] * (d.height + 1)
     for b in d.rects:
         tops[b[3]] += 1
@@ -402,7 +406,7 @@ def sigma(d: RectDrawing):
     contact order, each node after its subtrees, the virtual root skipped;
     read in reverse with a stack, as the tree can be as deep as d is large."""
     root, parents, children, dc = tree_T(d)
-    _, rect_lam = lambda_labels(dc)
+    _, rect_lam = _lambda_labels(dc)
     out, stack = [], [root]
     while stack:
         node = stack.pop()

@@ -97,37 +97,29 @@ class InvalidDrawing(ValueError):
 # each distinct row is formatted once.  A row's key has m > p and a span
 # pair lo < hi, so the two never meet.
 #
-# The generating trees grow bare box lists between drawings: they take
-# each line's span from _line_sides and leave the lines where their steps
-# put them; canonical_drawing lays out the drawing a replay returns.
+# Outside _check's span pass, _segments defines a line's segments: the runs
+# of its far sides.  _violations names the lines with other than one run,
+# and the generating trees, which grow bare box lists between drawings,
+# take each line's span from it and leave the lines where their steps put
+# them; canonical_drawing lays out the drawing a replay returns.
 
 
-def _merge_runs(intervals):
-    """Merge closed integer intervals into maximal runs."""
-    intervals.sort()
-    runs = []
-    for lo, hi in intervals:
-        if runs and lo <= runs[-1][1]:
-            if hi > runs[-1][1]:
-                runs[-1] = (runs[-1][0], hi)
+def _segments(sides, size):
+    """The (lo, hi) runs on each interior line c = 1..size-1, from the far
+    sides (far, lo, hi) of one family sorted by line: a run starts wherever
+    a side does not begin at the previous side's end.  In an exact cover a
+    line's far sides cover what its near sides do, once, so its runs are
+    its segments."""
+    runs = [[] for _ in range(size + 1)]
+    last = end = None  # the line and the end of the previous side
+    for far, lo, hi in sides:
+        if lo == end and far == last:
+            line[-1] = line[-1][0], hi
         else:
-            runs.append((lo, hi))
-    return runs
-
-
-def _line_sides(width, height, boxes):
-    """(vlines, hlines): vlines[x] lists the (y0, y1) spans of the box sides
-    on line x, for x = 0..W, and hlines[y] the (x0, x1) spans on line y.
-    gentree takes the segments of the box lists it grows from these: the
-    _merge_runs of an interior line, one run iff it hosts one segment."""
-    vlines = [[] for _ in range(width + 1)]
-    hlines = [[] for _ in range(height + 1)]
-    for x0, y0, x1, y1 in boxes:
-        vlines[x0].append((y0, y1))
-        vlines[x1].append((y0, y1))
-        hlines[y0].append((x0, x1))
-        hlines[y1].append((x0, x1))
-    return vlines, hlines
+            line = runs[far]
+            line.append((lo, hi))
+        last, end = far, hi
+    return runs[1:size]
 
 
 # Row characters before and after the diagonal of a relation matrix row, by
@@ -155,24 +147,9 @@ def _invalid(violations):
     return err
 
 
-def _line_violations(sides, size, name):
-    """The interior lines that host other than one segment, from sides
-    sorted as (far, lo, hi, near, i): rect i's far side on line far, from
-    lo to hi, and its near side on line near.  In an exact cover the far
-    sides on a line do not overlap and cover the points its near sides
-    cover, so the runs of the far sides are the line's segments."""
-    runs, end = Counter(), None
-    for far, start, stop, _, _ in sides:
-        if (far, start) != end:
-            runs[far] += 1
-        end = far, stop
-    return (f"line {name}={c} hosts {runs[c]} segments"
-            for c in range(1, size) if runs[c] != 1)
-
-
 def _check(width, height, boxes):
     """(pos, vsides, spans) of valid boxes: NW-SE positions, the vertical
-    sides sorted as _line_violations takes them, and ((lo, hi) of the
+    sides (far, lo, hi, near, i) sorted by far line, and ((lo, hi) of the
     segment on each vertical line x = 1..W-1, the same per y).  Else raises
     _invalid with the violations _violations names.  The NW-SE order
     follows from the cover, so it needs no test."""
@@ -279,8 +256,11 @@ def _violations(width, height, boxes):
     crosses = sorted(set(zip(X0, Y0)).intersection(zip(X1, Y1)))
     return chain(
         found,
-        _line_violations(sorted(zip(X1, Y0, Y1, X0, range(n))), width, "x"),
-        _line_violations(sorted(zip(Y1, X0, X1, Y0, range(n))), height, "y"),
+        (f"line {name}={c} hosts {len(runs)} segments"
+         for name, sides, size in (("x", zip(X1, Y0, Y1), width),
+                                   ("y", zip(Y1, X0, X1), height))
+         for c, runs in enumerate(_segments(sorted(sides), size), 1)
+         if len(runs) != 1),
         (f"cross joint at ({x},{y})" for x, y in crosses))
 
 
@@ -613,13 +593,15 @@ def contacts_of(d: RectDrawing):
 
 
 def weak_key(d: RectDrawing):
-    """Canonical identity of the weak equivalence class."""
-    return relations_of(d)
+    """Canonical identity of the weak equivalence class.  The keys read the
+    rows off the kernel: relations_of's memo would hold every drawing of a
+    universe level."""
+    return _kernel(d)[0]
 
 
 def strong_key(d: RectDrawing):
     """Canonical identity of the strong equivalence class."""
-    return (relations_of(d), contacts_of(d))
+    return (_kernel(d)[0], contacts_of(d))
 
 
 def reflect(d: RectDrawing, axis: str) -> RectDrawing:

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import json
 import threading
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add
 from typing import NamedTuple
 
 from . import invseq
 from .drawing import (InvalidDrawing, RectDrawing, _brief, _json_loads,
-                      _kernel, _line_sides, _merge_runs,
-                      canonical_drawing, make_drawing_with_perm,
-                      ne_rect_index)
+                      _kernel, _segments, canonical_drawing,
+                      make_drawing_with_perm, ne_rect_index)
 from .patterns import contains
 
 STAR, DSTAR, TSTAR = "*", "**", "***"
@@ -118,14 +117,18 @@ def _view(d):
 
 def _with_spans(width, height, boxes):
     """The boxes, in their order and on their lines, with the span of the
-    one segment on each interior line."""
+    one segment on each interior line, from the far sides of each family
+    (_segments); a line with other than one segment is refused."""
     boxes = tuple(boxes)
-    runs = [[_merge_runs(line) for line in lines[1:-1]]
-            for lines in _line_sides(width, height, boxes)]
-    _require(all(len(r) == 1 for family in runs for r in family),
-             "a line hosts more than one segment")
-    return _Boxes(width, height, boxes,
-                  tuple(tuple(r[0] for r in family) for family in runs))
+    X0, Y0, X1, Y1 = zip(*boxes)
+    spans = []
+    for sides, size in ((zip(X1, Y0, Y1), width), (zip(Y1, X0, X1), height)):
+        runs = _segments(sorted(sides), size)
+        # one run a line iff no line is empty and size - 1 runs in all
+        spans.append(tuple(chain.from_iterable(runs)))
+        _require(all(runs) and len(spans[-1]) == size - 1,
+                 "a line hosts more than one segment")
+    return _Boxes(width, height, boxes, tuple(spans))
 
 
 def _e_rects_top_down(d):

@@ -6,10 +6,10 @@ ground truth.  The fetcher is injectable so tests never touch the network.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from pathlib import Path
+
+from .universe import _write_atomic
 
 
 B_FILE_URL = "https://oeis.org/{id}/b{num}.txt"
@@ -45,7 +45,7 @@ class OeisClient:
             raise ValueError(f"bad sequence id {seq_id!r}")
         path = self._cache_path(seq_id)
         if path is not None and path.exists():
-            return _parse_b_file(path.read_text())
+            return _parse_b_file(path.read_text(encoding="utf-8"))
         if self.offline:
             raise OeisError(f"{seq_id}: offline and not cached")
         try:
@@ -54,11 +54,7 @@ class OeisClient:
             raise OeisError(f"{seq_id}: fetch failed ({exc})") from exc
         pairs = _parse_b_file(text)  # first, so a bad download is not cached
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            _write_atomic(path, [text.encode()])
         return pairs
 
 

@@ -128,8 +128,7 @@ def _next_level(parents):
     for p in parents:
         for c in _children(p, shared):
             d = canonical_drawing(c, shared)
-            # the key's rows come from the kernel, not through relations_of,
-            # whose memo would hash every child once more
+            # strong_key, with the contact triples shared
             contacts = contacts_of(d)
             key = _kernel(d)[0], tuple(map(share, contacts, contacts))
             if key in reps:
@@ -265,10 +264,12 @@ def _cache_header(mode, n, lines):
 
 
 def _cache_load(cache_dir, n, mode):
-    """The cached drawings, or None when the file is missing or its header
-    does not match its body (a truncated, edited or header-less file), so
-    that the caller rebuilds it.  One share table per file makes equal
-    boxes one tuple, as in a built level."""
+    """The cached drawings, or None when the file is missing or damaged, so
+    that the caller rebuilds it: a header that does not match the body (a
+    truncated, edited or header-less file), or a body line that is not an
+    object with int "width" and "height" and a "rects" list of 4-int lists.
+    One share table per file makes equal boxes one tuple, as in a built
+    level, and checks each distinct box once."""
     if cache_dir is None:
         return None
     try:
@@ -279,25 +280,44 @@ def _cache_load(cache_dir, n, mode):
         return None
     if head != _cache_header(mode, n, lines):
         return None
-    share = {}.setdefault
-    out = []
+    shared, out = {}, []
     # 256 lines a json.loads: a call per line parses a third slower, and one
     # call per file holds all the dicts and lists it parsed at once (4 MB of
     # them at n = 7, against 0.5 MB)
     for i in range(0, len(lines), 256):
-        for obj in json.loads(b"[" + b",".join(lines[i:i + 256]) + b"]"):
-            rects = tuple(share(b, b) for b in map(tuple, obj["rects"]))
-            out.append(RectDrawing(obj["width"], obj["height"], rects))
-    return out
+        chunk = b"[" + b",".join(lines[i:i + 256]) + b"]"
+        # True and 1.0 equal 1 and would pass the share table as int boxes:
+        # the file may hold no bool, and parse_float=int refuses any float
+        if b"true" in chunk or b"false" in chunk:
+            return None
+        try:
+            for obj in json.loads(chunk, parse_float=int):
+                rects = obj["rects"]
+                if not (type(obj["width"]) is type(obj["height"]) is int
+                        and type(rects) is list):
+                    return None
+                for j, b in enumerate(rects):
+                    # tuple() of a number raises, as does the hash of a
+                    # nested list; of a dict or a str it holds strs
+                    box = shared.get(key := tuple(b))
+                    if box is None:
+                        if len(key) != 4 or any(type(v) is not int
+                                                for v in key):
+                            return None
+                        box = shared[key] = key
+                    rects[j] = box
+                out.append(RectDrawing(obj["width"], obj["height"],
+                                       tuple(rects)))
+        except (KeyError, TypeError, ValueError, RecursionError):
+            return None
+    # a line such as '{...}, {...}' parses as two drawings
+    return out if len(out) == len(lines) else None
 
 
 def _cache_store(cache_dir, n, mode, drawings):
-    """Write the level atomically; on any failure the temp file goes and
-    the error propagates."""
+    """Write the level atomically (_write_atomic)."""
     if cache_dir is None:
         return
-    path = _cache_path(cache_dir, n, mode)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # each distinct box formatted once: level 7's 3,938 drawings hold 27,566
     # boxes, 169 distinct
     box = {}
@@ -307,11 +327,19 @@ def _cache_store(cache_dir, n, mode, drawings):
                 box[b] = _box_json(b)
     lines = [(_json_line(d.width, d.height, map(box.__getitem__, d.rects))
               + "\n").encode() for d in drawings]
+    _write_atomic(_cache_path(cache_dir, n, mode),
+                  [_cache_header(mode, n, lines), *lines])
+
+
+def _write_atomic(path, chunks):
+    """Write the byte chunks to path through a temp file in its directory,
+    made first if need be; on any failure the temp file goes and the error
+    propagates.  The OEIS client stores its b-files with it too."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_cache_header(mode, n, lines))
-            fh.writelines(lines)
+            fh.writelines(chunks)
         os.replace(tmp, path)  # atomic: concurrent writers agree on content
     except BaseException:
         os.unlink(tmp)

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -403,6 +404,29 @@ def test_sigma_examples(v2, h2, d3):
     assert bij.sigma(v2) == (0, 0)
     assert bij.sigma(h2) == (0, 1)
     assert bij.sigma(d3) == (0, 0, 2)
+
+
+def test_sigma_and_tau7_derive_each_fact_once(monkeypatch):
+    """sigma lays out its drawing once and reads the height labels off the
+    canonical drawing the contact tree returns; tau7 reads the SW-NE order
+    once."""
+    d = bij.rect_of_composition((3, 1, 4, 1, 5))  # in both trees' classes
+    want = bij.sigma(d), bij.tau7(d)
+    calls = Counter()
+
+    def spy(real):
+        def call(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+        return call
+
+    for name in ("canonical_drawing", "order_labels"):
+        monkeypatch.setattr(bij, name, spy(getattr(bij, name)))
+    assert bij.sigma(d) == want[0]
+    assert calls == {"canonical_drawing": 1}
+    calls.clear()
+    assert bij.tau7(d) == want[1]
+    assert calls == {"order_labels": 1}
 
 
 def test_lambda_labels(d3):

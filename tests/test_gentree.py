@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_drawing import _ref_line_runs
 
 from rectlab import gentree, invseq, universe, verify
 from rectlab.drawing import (InvalidDrawing, canonical_drawing,
@@ -324,6 +325,85 @@ def test_segment_helpers_match_segments_of(ctx):
                 for x_left in range(d.width):
                     assert (gentree._td_joints_on(g, y, x_left)
                             == _ref_td_joints_on(d, y, x_left))
+
+
+# The spans of every step state against the span rebuild the trees used
+# before _segments: the merged runs of the near and far sides on each line.
+
+
+def _ref_spans(width, height, boxes):
+    vruns, hruns = _ref_line_runs(boxes, width, height)
+    for runs in (vruns, hruns):
+        assert all(len(r) == 1 for r in runs.values()), boxes
+    return (tuple(vruns[x][0] for x in range(1, width)),
+            tuple(hruns[y][0] for y in range(1, height)))
+
+
+def _spans_checked(monkeypatch):
+    """A list that counts the step states, each checked against _ref_spans
+    when _with_spans returns it."""
+    seen = []
+    real = gentree._with_spans
+
+    def spy(width, height, boxes):
+        g = real(width, height, boxes)
+        assert g.spans == _ref_spans(width, height, g.rects), g
+        seen.append(None)
+        return g
+
+    monkeypatch.setattr(gentree, "_with_spans", spy)
+    return seen
+
+
+def _replay_and_trace_every_member(tree, n):
+    """Trace every member of the tree with n <= the given size, and replay
+    its trace; returns how many members there were."""
+    members = 0
+    for level in replay_levels(tree, n):
+        for d in level.values():
+            assert replay_rect(trace_of_rect(d, tree), tree) == d
+            members += 1
+    return members
+
+
+@pytest.mark.parametrize("n", [7, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+def test_step_spans_match_the_merged_near_and_far_sides(monkeypatch, tree,
+                                                        n):
+    seen = _spans_checked(monkeypatch)
+    members = sum(level_counts(tree, n))
+    assert _replay_and_trace_every_member(tree, n) == members
+    assert len(seen) > 2 * members
+
+
+@pytest.mark.parametrize("tree", ["t1", "t2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_step_spans_of_random_200_node_members(monkeypatch, tree, seed):
+    rng = random.Random(seed)
+    e = (0,)
+    while len(e) < gentree.NODE_CAP:
+        e = rng.choice(children_invseq(e, tree))[1]
+    trace = trace_of_invseq(e, tree)
+    seen = _spans_checked(monkeypatch)
+    d = replay_rect(trace, tree)
+    assert trace_of_rect(d, tree) == trace
+    assert len(seen) == 2 * len(trace)
+
+
+def test_with_spans_refuses_a_line_with_two_segments():
+    # line x=1 hosts two verticals, 0..1 and 2..3, parted by a full-width
+    # rect; line y=1 hosts one segment
+    two = [(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 2, 2), (0, 2, 1, 3),
+           (1, 2, 2, 3)]
+    with pytest.raises(InvalidDrawing,
+                       match="a line hosts more than one segment"):
+        gentree._with_spans(2, 3, two)
+    # and a line that hosts none
+    with pytest.raises(InvalidDrawing,
+                       match="a line hosts more than one segment"):
+        gentree._with_spans(2, 1, [(0, 0, 2, 1)])
+    assert gentree._with_spans(2, 1, [(0, 0, 1, 1), (1, 0, 2, 1)]).spans \
+        == (((0, 1),), ())
 
 
 # The step rule as it stood before it was written once per tree: each

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import random
@@ -85,6 +87,30 @@ def test_oeis_bad_download_is_not_cached(tmp_path):
     assert not (tmp_path / "oeis").exists()
     with pytest.raises(oeis.OeisError, match="offline and not cached"):
         oeis.OeisClient(cache_dir=tmp_path, offline=True).b_file("A279555")
+
+
+class _FullDisk(io.FileIO):
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("name, fail", [
+    ("fdopen", lambda fd, mode: _FullDisk(fd, mode)),
+    ("replace", _fail_replace)], ids=["write", "replace"])
+def test_a_failed_b_file_store_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                   name, fail):
+    client = oeis.OeisClient(cache_dir=tmp_path, fetcher=lambda url: "1 1\n")
+    monkeypatch.setattr(os, name, fail)
+    with pytest.raises(OSError, match="No space left"):
+        client.b_file("A279555")
+    monkeypatch.undo()
+    assert list((tmp_path / "oeis").iterdir()) == []
+    assert client.b_file("A279555") == [(1, 1)]
+    assert [p.name for p in (tmp_path / "oeis").iterdir()] == ["b279555.txt"]
 
 
 def test_oeis_default_fetcher_reads_a_file_url(tmp_path, monkeypatch):

@@ -8,11 +8,11 @@ from functools import cache
 import pytest
 from test_drawing import _ref_tilings
 
-from rectlab import universe
+from rectlab import cli, universe
 from rectlab.bijections import beta
 from rectlab.drawing import (InvalidDrawing, _forced_before, _kernel,
                              _line_spans, canonical_drawing, make_drawing,
-                             ne_rect_index, relations_of, strong_key,
+                             ne_rect_index, relations_of, size1, strong_key,
                              validate, weak_key)
 from rectlab.patterns import avoids_all, contains
 
@@ -181,10 +181,17 @@ def test_a_class_built_twice_raises(monkeypatch):
         universe.enumerate_strong(3)
 
 
-def test_a_level_build_leaves_the_relations_memo_alone():
+def test_a_level_build_leaves_the_relations_memo_alone(tmp_path):
+    """The keys read the rows off the kernel: building, storing and loading
+    the strong and weak levels looks up no drawing in the memo."""
     level = universe.enumerate_strong(6)
     before = relations_of.cache_info()
     universe._next_level(level)
+    for n in range(1, 6):
+        universe.enumerate_strong(n, cache_dir=tmp_path)
+        universe.enumerate_weak(n, cache_dir=tmp_path)
+        universe.enumerate_weak(n, cache_dir=tmp_path / "weak-first")
+        universe.enumerate_weak(n)
     assert relations_of.cache_info() == before
 
 
@@ -254,6 +261,55 @@ def test_headerless_or_damaged_cache_is_rebuilt(tmp_path):
         path.write_text(text)
         assert universe.enumerate_weak(4, cache_dir=tmp_path) == want
         assert path.read_text() == head + "".join(body)
+
+
+_ONE = '{"width": 1, "height": 1, "rects": [[0, 0, 1, 1]]}'
+
+
+def _write_with_header(path, mode, n, body):
+    """A cache file with these body lines under the header that matches
+    them."""
+    lines = [(line + "\n").encode() for line in body]
+    path.write_bytes(universe._cache_header(mode, n, lines) + b"".join(lines))
+
+
+@pytest.mark.parametrize("body", [
+    ['{"width": 1, "height": 1, "rects": 5}'],
+    ['{"width": "1", "height": 1, "rects": [[0, 0, 1, 1]]}'],
+    ['{"width": 1, "height": 1.0, "rects": [[0, 0, 1, 1]]}'],
+    ['{"width": 1, "height": 1}'],
+    ['{"width": 1, "height": 1, "rects": [[0, 0, 1, true]]}'],
+    ['{"width": 1, "height": 1, "rects": [[0, 0, 1]]}'],
+    ['{"width": 1, "height": 1, "rects": [5]}'],
+    ['{"width": 1, "height": 1, "rects": ["abcd"]}'],
+    ['{"width": 1, "height": 1, "rects": [{"a": 1, "b": 2, "c": 3, "d": 4}]}'],
+    ['{"width": 1, "height": 1, "rects": [[0, 0, 1, [1]]]}'],
+    [_ONE, _ONE.replace("1]]", "1.0]]")],
+    [_ONE, _ONE.replace("1]]", "true]]")],
+    [_ONE + ", " + _ONE],
+    ["[1, 2]"], ["5"], ["null"], ["garbage"], ["[" * 100000 + "]" * 100000],
+], ids=lambda body: body[-1][:40])
+def test_a_header_matching_body_of_the_wrong_shape_is_rebuilt(
+        tmp_path, capsys, body):
+    """A body line that is not an object with int width and height and a
+    list of 4-int rects marks the file damaged, bools and floats too, as
+    from_json refuses them, even where they equal a box already read."""
+    path = universe._cache_path(tmp_path, 1, "strong")
+    good = universe.enumerate_strong(1, cache_dir=tmp_path)
+    want = path.read_bytes()
+    assert universe._cache_load(tmp_path, 1, "strong") == good == [size1()]
+    _write_with_header(path, "strong", 1, body)
+    assert universe._cache_load(tmp_path, 1, "strong") is None
+    assert universe.enumerate_strong(1, cache_dir=tmp_path) == good
+    assert path.read_bytes() == want
+    argvs = (["count", "--class", "strong", "--n", "1", "--method",
+              "universe"], ["list", "--class", "strong", "--n", "1"])
+    for argv, out in zip(argvs, ("1\t1\t[universe]\n", _ONE + "\n")):
+        _write_with_header(path, "strong", 1, body)
+        capsys.readouterr()
+        assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (out, "")
+        assert path.read_bytes() == want
 
 
 def test_cache_loads_the_levels_as_built(tmp_path):
