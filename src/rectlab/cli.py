@@ -12,7 +12,7 @@ import sys
 
 from . import bijections as bij
 from . import gentree, oeis, paths, universe, verify
-from .drawing import _json_loads, from_json
+from .drawing import _brief, _json_loads, from_json
 from .patterns import PATTERNS
 from .render import render_ascii, render_svg
 
@@ -39,11 +39,13 @@ def parse_class_spec(spec):
 
 
 def parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = range(int(lo), int(hi) + 1)
-    else:
-        out = range(int(text), int(text) + 1)
+    """The sizes of "N" or "LO..HI", both ends included."""
+    lo, dots, hi = text.partition("..")
+    try:
+        out = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise UsageError(f"size range must be N or LO..HI with integer ends, "
+                         f"got {_brief(text)}") from None
     if not out:
         raise UsageError(f"empty range {text!r}")
     return out

@@ -24,10 +24,14 @@ Every child goes through make_drawing, with all its structural checks, and
 a class built twice raises, so the uniqueness the search relies on is
 checked on every run.
 
-With a cache dir, each level is stored once, and never read back in the
-call that built it: a strong build stores level n and its weak level (the
-first strong representative of each weak class wins), and each distinct
-box of a level is formatted once per store.
+One function, _level, gets every level: it reads level n from the cache,
+else takes a weak level from the cached strong one, else builds strong
+level n from strong level n - 1, got the same way, and stores it with its
+weak level (the first strong representative of each weak class wins).  So
+each cache file is written once and never read back in the call that
+wrote it, and each distinct box of a level is formatted once per store.
+A load checks the shape of each line, not its geometry: enumerate_class
+checks every member it returns.
 
 tests/test_universe.py keeps a grid-tiling DFS that dedupes by key
 (_dfs_strong, over the tilings of test_drawing._ref_tilings) as the oracle
@@ -139,8 +143,10 @@ def _next_level(parents):
 
 
 def _check_size(n, max_n):
-    """n must lie in 1..max_n (DEFAULT_MAX_N if None)."""
+    """n must lie in 1..max_n (DEFAULT_MAX_N if None), and max_n be >= 1."""
     cap = DEFAULT_MAX_N if max_n is None else max_n
+    if cap < 1:
+        raise ValueError(f"max_n must be >= 1, got {cap}")
     if n < 1:
         raise ValueError("size must be >= 1")
     if n > cap:
@@ -149,28 +155,31 @@ def _check_size(n, max_n):
             "pass max_n explicitly to raise it")
 
 
-def _build_strong(n, max_n, cache_dir):
-    """(strong, weak): strong level n built from level n - 1 (read from the
-    cache when there), and, with a cache dir, its weak level; both are
-    stored, so that no call reads back a level it has just built."""
-    strong = [size1()] if n == 1 else _next_level(
-        enumerate_strong(n - 1, max_n=max_n, cache_dir=cache_dir))
-    if cache_dir is None:
-        return strong, None
+def _level(n, mode, cache_dir):
+    """Level n of mode ("strong" or "weak"): read from the cache, else, for
+    a weak level, taken from the cached strong level, else built from
+    strong level n - 1.  A strong level built is stored with its weak level,
+    so that no call reads back a level it has built; with nothing to store
+    it in, a strong request skips the weak level (32 ms at n = 8)."""
+    level = _cache_load(cache_dir, n, mode)
+    if level is not None:
+        return level
+    strong = _cache_load(cache_dir, n, "strong") if mode == "weak" else None
+    if strong is None:
+        strong = [size1()] if n == 1 else _next_level(
+            _level(n - 1, "strong", cache_dir))
+        _cache_store(cache_dir, n, "strong", strong)
+        if cache_dir is None and mode == "strong":
+            return strong
     weak = weak_classes(strong)
-    _cache_store(cache_dir, n, "strong", strong)
     _cache_store(cache_dir, n, "weak", weak)
-    return strong, weak
+    return strong if mode == "strong" else weak
 
 
 def enumerate_strong(n, *, max_n=None, cache_dir=None):
-    """One canonical drawing per strong class of size n, sorted by key;
-    read from the cache when there, else built (_build_strong)."""
+    """One canonical drawing per strong class of size n, sorted by key."""
     _check_size(n, max_n)
-    strong = _cache_load(cache_dir, n, "strong")
-    if strong is None:
-        strong, _ = _build_strong(n, max_n, cache_dir)
-    return strong
+    return _level(n, "strong", cache_dir)
 
 
 def weak_classes(strong):
@@ -183,35 +192,27 @@ def weak_classes(strong):
 
 
 def enumerate_weak(n, *, max_n=None, cache_dir=None):
-    """One representative per weak class of size n (first strong rep wins);
-    read from the cache when there, else taken from the strong level, which
-    a build stores with its weak level."""
+    """One representative per weak class of size n (first strong rep
+    wins)."""
     _check_size(n, max_n)
-    weak = _cache_load(cache_dir, n, "weak")
-    if weak is None:
-        strong = _cache_load(cache_dir, n, "strong")
-        if strong is None:
-            strong, weak = _build_strong(n, max_n, cache_dir)
-        if weak is None:
-            weak = weak_classes(strong)
-            _cache_store(cache_dir, n, "weak", weak)
-    return weak
+    return _level(n, "weak", cache_dir)
 
 
 def enumerate_class(n, mode, avoid=(), *, max_n=None, cache_dir=None):
     """Class members of size n: mode "strong" or "weak", filtered by the
-    avoided pattern ids."""
-    if mode == "strong":
-        stream = enumerate_strong(n, max_n=max_n, cache_dir=cache_dir)
-    elif mode == "weak":
-        stream = enumerate_weak(n, max_n=max_n, cache_dir=cache_dir)
-    else:
+    avoided pattern ids.  Each member is checked: a drawing read from the
+    cache raises InvalidDrawing if it is not valid (a built one carries its
+    kernel), and one share table serves the checks."""
+    if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     avoid = tuple(avoid)
     for p in avoid:
         if p not in patterns.PATTERNS:
             raise ValueError(f"unknown pattern {p!r}")
-    return [d for d in stream if patterns.avoids_all(d, avoid)]
+    _check_size(n, max_n)
+    shared = {}
+    return [d for d in _level(n, mode, cache_dir)
+            if _kernel(d, shared) and patterns.avoids_all(d, avoid)]
 
 
 def count_class(n, mode, avoid=(), *, max_n=None, cache_dir=None):

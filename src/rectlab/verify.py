@@ -72,47 +72,41 @@ def _row_count(mode, avoid, n):
 
 class _Ctx:
     """Shared memo for the expensive enumerations and for the grown drawings
-    of the binary trees.  The lists and dicts it returns are shared by every
+    of the binary trees, keyed by kind and n, and for a class by the frozen
+    avoided set too.  The lists and dicts it returns are shared by every
     caller, which must not change them."""
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
-        self._strong = {}
-        self._weak = {}
-        self._classes = {}
-        self._grown = {}
+        self._memo = {}
+
+    def _get(self, key, make):
+        """The memo's value at key, made by make() on a miss."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def strong(self, n):
-        if n not in self._strong:
-            self._strong[n] = universe.enumerate_strong(
-                n, max_n=max(n, universe.DEFAULT_MAX_N),
-                cache_dir=self.cache_dir)
-        return self._strong[n]
+        return self._get(("strong", n), lambda: universe.enumerate_strong(
+            n, max_n=max(n, universe.DEFAULT_MAX_N), cache_dir=self.cache_dir))
 
     def weak(self, n):
-        if n not in self._weak:
-            self._weak[n] = universe.weak_classes(self.strong(n))
-        return self._weak[n]
-
-    def _class(self, mode, n, avoid):
-        key = (mode, n, frozenset(avoid))
-        if key not in self._classes:
-            pool = self.strong(n) if mode == "strong" else self.weak(n)
-            self._classes[key] = [d for d in pool if avoids_all(d, avoid)]
-        return self._classes[key]
+        return self._get(("weak", n),
+                         lambda: universe.weak_classes(self.strong(n)))
 
     def grown(self, n):
         """{tree: bij.rect_of_tree(tree)} over the binary trees with n
         nodes."""
-        if n not in self._grown:
-            self._grown[n] = {t: bij.rect_of_tree(t) for t in bij.all_trees(n)}
-        return self._grown[n]
+        return self._get(("grown", n), lambda: {
+            t: bij.rect_of_tree(t) for t in bij.all_trees(n)})
 
     def strong_class(self, n, avoid):
-        return self._class("strong", n, avoid)
+        return self._get(("strong", n, frozenset(avoid)), lambda: [
+            d for d in self.strong(n) if avoids_all(d, avoid)])
 
     def weak_class(self, n, avoid):
-        return self._class("weak", n, avoid)
+        return self._get(("weak", n, frozenset(avoid)), lambda: [
+            d for d in self.weak(n) if avoids_all(d, avoid)])
 
 
 # Sizes of the checks that max_n leaves alone (see run_suites).

@@ -12,7 +12,9 @@ def _isolated_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ctx():
-    """Shared enumeration memo so the n=7 universe is built once."""
+    """Shared enumeration memo: each level and class list is got once per
+    session.  With no cache dir, each strong(n) still builds every level
+    below n afresh."""
     return verify._Ctx()
 
 

@@ -69,6 +69,26 @@ def test_plateaus_and_jumps_read_off_segments():
     assert lefts[:-1] == jumps
 
 
+def test_the_inverse_maps_round_trip_on_every_member(ctx):
+    """Each public inverse map takes the image of every member with n <= 6
+    back to its class."""
+    maps = [("strong", ("td",), fwd, inv, strong_key)
+            for fwd, inv in ((bij.tau6, bij.tau6_inv),
+                             (bij.tau7, bij.tau7_inv),
+                             (bij.tau8, bij.tau8_inv))]
+    maps += [("strong", ("tu",), bij.sigma, bij.sigma_inv, strong_key),
+             ("weak", ("td",), bij.delta, bij.delta_inv, weak_key)]
+    trips = 0
+    for n in range(1, 7):
+        for mode, avoid, fwd, inv, key in maps:
+            members = (ctx.strong_class if mode == "strong"
+                       else ctx.weak_class)(n, avoid)
+            for d in members:
+                assert key(inv(fwd(d))) == key(d), (fwd.__name__, d)
+            trips += len(members)
+    assert trips == 1248
+
+
 def test_matched_steps_pair_rect_sides():
     # the two vertical sides of each rect map to a matched U/D pair: the
     # i-th U along line x (right neighbors bottom to top) must match the D

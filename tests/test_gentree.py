@@ -276,7 +276,7 @@ def test_count_by_tree_rejects_bad_input_before_any_work():
             level_counts(tree, 201)
     with pytest.raises(ValueError, match="exceeds the cap 200"):
         verify.suite_a279555(ctx, dp_n=201)
-    assert gentree._LEVELS == {} and ctx._strong == {}
+    assert gentree._LEVELS == {} and ctx._memo == {}
 
 
 def test_tree_counts_match_universe():

@@ -404,6 +404,23 @@ def test_cli_usage_errors(capsys):
                      "--method", "universe"]) == 2  # over the cap
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--class", "strong", "--n", "3", "--method", "universe",
+      "--max-n", "0"], "error: max_n must be >= 1, got 0"),
+    (["list", "--class", "weak", "--n", "3", "--max-n", "-2"],
+     "error: max_n must be >= 1, got -2"),
+    (["count", "--class", "strong", "--n", "1..x"],
+     "error: size range must be N or LO..HI with integer ends, got '1..x'"),
+    (["list", "--class", "weak:avoid=td", "--n", "3.."],
+     "error: size range must be N or LO..HI with integer ends, got '3..'"),
+    (["count", "--class", "strong", "--n", "1.." + "x" * 100],
+     "error: size range must be N or LO..HI with integer ends, got '1.."
+     + "x" * 76 + "..."),
+])
+def test_cli_size_errors_name_the_argument(capsys, argv, message):
+    assert _assert_refused(capsys, argv) == message
+
+
 @pytest.mark.parametrize("method", ["auto", "universe"])
 @pytest.mark.parametrize("cls", ["strong:avoid=td,tr", "strong:avoid=td,tu",
                                  "strong:avoid=td,tu,tr,tl", "weak:avoid=td",
@@ -703,8 +720,10 @@ def test_suites_leave_the_shared_class_lists_unchanged(monkeypatch):
     [ctx] = made
     assert ctx.strong_class(3, ("td", "tr")) is \
         ctx.strong_class(3, ["tr", "td"])
-    assert len(ctx._classes) > 10
-    for (mode, n, avoid), members in ctx._classes.items():
+    # the class lists are the memo entries keyed (mode, n, avoid)
+    classes = {k: v for k, v in ctx._memo.items() if len(k) == 3}
+    assert len(classes) > 10
+    for (mode, n, avoid), members in classes.items():
         pool = universe.enumerate_strong(n)
         if mode == "weak":
             pool = universe.weak_classes(pool)

@@ -229,6 +229,23 @@ def test_size_cap():
     universe.enumerate_strong(3, max_n=3)
 
 
+def test_enumerate_class_refuses_bad_input_before_any_work(tmp_path,
+                                                          monkeypatch):
+    def no_work(*args):
+        raise AssertionError(f"work done on bad input: {args}")
+
+    monkeypatch.setattr(universe, "_cache_load", no_work)
+    monkeypatch.setattr(universe, "_next_level", no_work)
+    for args, max_n, match in [
+            ((3, "bogus"), None, "unknown mode"),
+            ((3, "strong", ("td", "xx")), None, "unknown pattern"),
+            ((0, "weak"), None, "size must be >= 1"),
+            ((8, "strong"), None, "exceeds the enumeration cap 7"),
+            ((3, "weak", ("td",)), 0, "max_n must be >= 1, got 0")]:
+        with pytest.raises(ValueError, match=match):
+            universe.enumerate_class(*args, max_n=max_n, cache_dir=tmp_path)
+
+
 def test_cache_round_trip(tmp_path):
     a = universe.enumerate_strong(4, cache_dir=tmp_path)
     path = tmp_path / "universe-strong-4.jsonl"
@@ -310,6 +327,24 @@ def test_a_header_matching_body_of_the_wrong_shape_is_rebuilt(
         assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr() == (out, "")
         assert path.read_bytes() == want
+
+
+def test_a_cached_drawing_of_invalid_geometry_is_refused(tmp_path, capsys):
+    """The cache load checks the shape of a line, not its geometry: each
+    member a command counts or lists is checked, and a loaded drawing that
+    is not valid stops the command with the kernel's message."""
+    bad = '{"width": 1, "height": 1, "rects": [[0, 0, 2, 2]]}'
+    for mode in ENUMERATE:
+        _write_with_header(universe._cache_path(tmp_path, 1, mode), mode, 1,
+                           [bad])
+    for argv in (["count", "--class", "strong", "--n", "1", "--method",
+                  "universe"],
+                 ["count", "--class", "weak", "--n", "1", "--method",
+                  "universe"],
+                 ["list", "--class", "strong", "--n", "1"]):
+        assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: rect (0, 0, 2, 2) outside box or degenerate\n")
 
 
 def test_cache_loads_the_levels_as_built(tmp_path):
